@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"sx4bench/internal/superux"
 )
@@ -163,9 +165,9 @@ func (m Mix) Arrivals(seed int64, horizon float64) []Arrival {
 	default:
 		out = m.poisson(r, horizon, m.PerHour)
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].At < out[b].At })
+	slices.SortStableFunc(out, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
 	for i := range out {
-		out[i].Name = fmt.Sprintf("%s-%s-%d", m.Name, out[i].Name, i)
+		out[i].Name = m.Name + "-" + out[i].Name + "-" + strconv.Itoa(i)
 	}
 	return out
 }

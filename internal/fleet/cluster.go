@@ -36,7 +36,6 @@ type jobKey struct {
 
 // jobRecord is the cluster-level life of one arrival.
 type jobRecord struct {
-	name       string
 	submitAt   float64
 	node       int // current node index; -1 once failed fleet-wide
 	localID    int
@@ -119,18 +118,6 @@ func secondsOn(a Arrival, n *Node) float64 {
 	return a.WorkMFLOP / (n.Spec.PerCPUMFLOPS * float64(cpus))
 }
 
-// homeBlock returns the first surviving resource block (registration
-// order) on the node that admits the shape.
-func homeBlock(n *Node, cpus int, memGB float64) (string, bool) {
-	for _, name := range n.Sys.BlockNames() {
-		b := n.Sys.Blocks[name]
-		if !b.Failed && cpus <= b.MaxCPUs && memGB <= b.MemGB {
-			return name, true
-		}
-	}
-	return "", false
-}
-
 // Result is one cluster run's outcome.
 type Result struct {
 	// Jobs counts arrivals; Finished those that completed.
@@ -188,13 +175,13 @@ func (c *Cluster) Run(arrivals []Arrival) Result {
 // when no live node can hold its shape.
 func (c *Cluster) dispatch(a Arrival) {
 	rec := len(c.jobs)
-	c.jobs = append(c.jobs, jobRecord{name: a.Name, submitAt: a.At, node: -1})
+	c.jobs = append(c.jobs, jobRecord{submitAt: a.At, node: -1})
 	node := c.bestNode(a.CPUs, a.MemGB, func(n *Node) float64 { return secondsOn(a, n) }, -1)
 	if node < 0 {
 		return
 	}
 	n := c.Nodes[node]
-	block, ok := homeBlock(n, a.CPUs, a.MemGB)
+	block, ok := n.Sys.HomeFor(a.CPUs, a.MemGB)
 	if !ok {
 		return
 	}
@@ -228,7 +215,7 @@ func (c *Cluster) placeMigrations(t float64) {
 				continue
 			}
 			n := c.Nodes[node]
-			block, ok := homeBlock(n, p.job.CPUs, p.job.MemGB)
+			block, ok := n.Sys.HomeFor(p.job.CPUs, p.job.MemGB)
 			if !ok {
 				rec.node = -1
 				continue

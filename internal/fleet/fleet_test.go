@@ -214,3 +214,25 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterRunAllocs bounds the allocations of one canonical-fleet
+// scenario (scenario 0: the full sx4-32x2,c90 fleet, 272 arrivals, one
+// recovery) so per-event formatting cannot creep back onto the event
+// loop. The bound is the 678 allocations per run measured with Go 1.24
+// plus a 10% margin; when every job event formatted its qcat line
+// eagerly, the same run made 3133.
+func TestClusterRunAllocs(t *testing.T) {
+	cfg := canonicalTestConfig(t, 1).withDefaults()
+	sc := cfg.ScenarioAt(0)
+	arrivals := cfg.Mixes[sc.Mix].Arrivals(sc.ArrivalSeed, cfg.HorizonSeconds)
+	if len(arrivals) != 272 {
+		t.Fatalf("scenario 0 has %d arrivals, want the 272 the bound was measured on", len(arrivals))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		NewCluster(cfg.Nodes, sc.FaultSeed, cfg.HorizonSeconds, cfg.FaultEventsPerNode).Run(arrivals)
+	})
+	const bound = 746
+	if allocs > bound {
+		t.Errorf("Cluster.Run on canonical scenario 0 made %v allocations, bound %d", allocs, bound)
+	}
+}

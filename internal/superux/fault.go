@@ -1,7 +1,6 @@
 package superux
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -94,9 +93,9 @@ func (s *System) failBlock(unit int) {
 		if j.Block != victim {
 			continue
 		}
-		if home, ok := s.survivingHome(j); ok {
+		if home, ok := s.HomeFor(j.CPUs, j.MemGB); ok {
 			j.Block = home
-			j.Output += fmt.Sprintf("job %d (%s) moved to block %s at %.2f\n", j.ID, j.Name, home, s.Clock)
+			j.Log = append(j.Log, JobEvent{Kind: EventMoved, At: s.Clock, Block: home})
 		} else {
 			s.failJob(j)
 		}
@@ -140,21 +139,8 @@ func (s *System) checkpointJob(id int) {
 	j.State = Queued
 	j.Seconds = remaining + RestartOverheadSeconds
 	j.Restarts++
-	j.Output += fmt.Sprintf("job %d (%s) checkpointed at %.2f (%.2fs remaining)\n",
-		j.ID, j.Name, s.Clock, remaining)
+	j.Log = append(j.Log, JobEvent{Kind: EventCheckpointed, At: s.Clock, Remaining: remaining})
 	s.queue = append(s.queue, id)
-}
-
-// survivingHome returns the first non-failed block (registration
-// order) whose limits can hold the job.
-func (s *System) survivingHome(j *Job) (string, bool) {
-	for _, name := range s.order {
-		b := s.Blocks[name]
-		if !b.Failed && j.CPUs <= b.MaxCPUs && j.MemGB <= b.MemGB {
-			return name, true
-		}
-	}
-	return "", false
 }
 
 // failJob handles a job no surviving resource block on this node can
@@ -174,14 +160,12 @@ func (s *System) failJob(j *Job) {
 	if s.migrator != nil && s.migrator(*j) {
 		j.State = Migrated
 		j.FinishAt = s.Clock
-		j.Output += fmt.Sprintf("job %d (%s) migrated off node at %.2f: no surviving resource block here\n",
-			j.ID, j.Name, s.Clock)
+		j.Log = append(j.Log, JobEvent{Kind: EventMigrated, At: s.Clock})
 		return
 	}
 	j.State = Failed
 	j.FinishAt = s.Clock
-	j.Output += fmt.Sprintf("job %d (%s) failed at %.2f: no surviving resource block\n",
-		j.ID, j.Name, s.Clock)
+	j.Log = append(j.Log, JobEvent{Kind: EventFailed, At: s.Clock})
 }
 
 // AdvanceUntil runs the event loop up to simulated time t: completions

@@ -240,6 +240,11 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 			j.State = Failed + 3
 			s.Jobs[1] = j
 		}, "unknown state"},
+		{"unknown log event", func(s *snapshot) {
+			j := s.Jobs[1]
+			j.Log = []JobEvent{{Kind: EventFailed + 1, At: 1}}
+			s.Jobs[1] = j
+		}, "unknown event kind"},
 		{"undefined resource block", func(s *snapshot) {
 			j := s.Jobs[1]
 			j.Block = "ghost"
@@ -264,4 +269,77 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 	if _, err := Restart([]byte("not a gob stream")); err == nil {
 		t.Error("garbage bytes accepted")
 	}
+}
+
+// TestQCatRendersEveryEventKindExactly pins the qcat text of all six
+// job events byte for byte, and requires the typed log behind it to
+// survive a checkpoint taken mid-run as well as one taken at the end.
+func TestQCatRendersEveryEventKindExactly(t *testing.T) {
+	// A CPU failure at 10.5 takes down "big" with wide-a and long
+	// running and wide-b queued behind them. Nothing else can hold a
+	// 16-CPU job: the migrator takes wide-a and declines wide-b, while
+	// long moves to spare and finishes there.
+	build := func() *System {
+		s := NewSystem(
+			ResourceBlock{Name: "big", MaxCPUs: 20, MemGB: 64, Policy: FIFO},
+			ResourceBlock{Name: "spare", MaxCPUs: 8, MemGB: 64, Policy: FIFO},
+		)
+		s.Submit(Job{Name: "wide-a", Block: "big", CPUs: 16, MemGB: 8, Seconds: 40})
+		s.Submit(Job{Name: "long", Block: "big", CPUs: 4, MemGB: 8, Seconds: 30.333})
+		s.Submit(Job{Name: "wide-b", Block: "big", CPUs: 16, MemGB: 8, Seconds: 40})
+		return s
+	}
+	attach := func(s *System) {
+		s.SetInjector(&fault.Plan{Events: []fault.Event{{At: 10.5, Kind: fault.CPUFail, Unit: 0}}})
+		s.SetMigrator(func(j Job) bool { return j.Name == "wide-a" })
+	}
+	want := map[int]string{
+		1: "job 1 (wide-a) started at 0.00\n" +
+			"job 1 (wide-a) checkpointed at 10.50 (29.50s remaining)\n" +
+			"job 1 (wide-a) migrated off node at 10.50: no surviving resource block here\n",
+		2: "job 2 (long) started at 0.00\n" +
+			"job 2 (long) checkpointed at 10.50 (19.83s remaining)\n" +
+			"job 2 (long) moved to block spare at 10.50\n" +
+			"job 2 (long) started at 10.50\n" +
+			"job 2 (long) finished at 35.33\n",
+		3: "job 3 (wide-b) failed at 10.50: no surviving resource block\n",
+	}
+	check := func(label string, s *System) {
+		t.Helper()
+		for id := 1; id <= 3; id++ {
+			got, err := s.QCat(id)
+			if err != nil {
+				t.Fatalf("%s: qcat %d: %v", label, id, err)
+			}
+			if got != want[id] {
+				t.Errorf("%s: qcat %d =\n%s\nwant\n%s", label, id, got, want[id])
+			}
+		}
+	}
+	restart := func(s *System) *System {
+		t.Helper()
+		data, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restart(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	s := build()
+	attach(s)
+	s.Advance()
+	check("uninterrupted", s)
+	check("restarted after the run", restart(s))
+
+	mid := build()
+	attach(mid)
+	mid.AdvanceUntil(5)
+	r := restart(mid)
+	attach(r)
+	r.Advance()
+	check("restarted mid-run", r)
 }

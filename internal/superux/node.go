@@ -49,18 +49,27 @@ func (s *System) Down() bool {
 	return true
 }
 
-// CanHold reports whether some surviving resource block's limits admit
-// a job of the given shape. It is a capacity-class check (like
-// survivingHome), not an instantaneous-load check: a true answer means
-// the job can eventually run here, possibly after queueing.
-func (s *System) CanHold(cpus int, memGB float64) bool {
+// HomeFor returns the first surviving resource block (registration
+// order) whose limits admit a job of the given shape. It is a
+// capacity-class check, not an instantaneous-load check: a block it
+// names can eventually run the job, possibly after queueing. It is the
+// one block-fit rule for fault recovery, late submissions and fleet
+// routing alike.
+func (s *System) HomeFor(cpus int, memGB float64) (string, bool) {
 	for _, name := range s.order {
 		b := s.Blocks[name]
 		if !b.Failed && cpus <= b.MaxCPUs && memGB <= b.MemGB {
-			return true
+			return name, true
 		}
 	}
-	return false
+	return "", false
+}
+
+// CanHold reports whether some surviving resource block admits a job
+// of the given shape (see HomeFor).
+func (s *System) CanHold(cpus int, memGB float64) bool {
+	_, ok := s.HomeFor(cpus, memGB)
+	return ok
 }
 
 // Backlog returns the simulated seconds of work the node still owes:
@@ -78,11 +87,4 @@ func (s *System) Backlog() float64 {
 		total += s.Jobs[id].Seconds
 	}
 	return total
-}
-
-// BlockNames returns the resource-block names in registration order —
-// the deterministic iteration order for callers that must pick blocks
-// without touching the Blocks map's random order.
-func (s *System) BlockNames() []string {
-	return append([]string(nil), s.order...)
 }

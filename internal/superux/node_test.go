@@ -240,14 +240,38 @@ func TestBacklogCountsRunningRemainderAndQueue(t *testing.T) {
 	}
 }
 
-func TestBlockNamesIsACopyInRegistrationOrder(t *testing.T) {
-	s := twoBlockSystem()
-	names := s.BlockNames()
-	if len(names) != 2 || names[0] != "batch" || names[1] != "spare" {
-		t.Fatalf("BlockNames = %v, want [batch spare]", names)
+func TestHomeForRegistrationOrderSkipsFailedBlocks(t *testing.T) {
+	s := NewSystem(
+		ResourceBlock{Name: "small", MaxCPUs: 2, MemGB: 4, Policy: FIFO},
+		ResourceBlock{Name: "batch", MaxCPUs: 8, MemGB: 64, Policy: FIFO},
+		ResourceBlock{Name: "spare", MaxCPUs: 8, MemGB: 64, Policy: FIFO},
+	)
+	cases := []struct {
+		cpus  int
+		memGB float64
+		want  string
+	}{
+		{1, 1, "small"},  // first registered block that fits
+		{4, 1, "batch"},  // too many CPUs for small
+		{1, 32, "batch"}, // too much memory for small
+		{16, 1, ""},      // nowhere fits
 	}
-	names[0] = "clobbered"
-	if s.BlockNames()[0] != "batch" {
-		t.Error("BlockNames exposed internal state")
+	for _, c := range cases {
+		got, ok := s.HomeFor(c.cpus, c.memGB)
+		if got != c.want || ok != (c.want != "") {
+			t.Errorf("HomeFor(%d, %v) = %q, %v; want %q", c.cpus, c.memGB, got, ok, c.want)
+		}
+		if s.CanHold(c.cpus, c.memGB) != ok {
+			t.Errorf("CanHold(%d, %v) disagrees with HomeFor", c.cpus, c.memGB)
+		}
+	}
+	s.Blocks["small"].Failed = true
+	s.Blocks["batch"].Failed = true
+	if got, ok := s.HomeFor(1, 1); !ok || got != "spare" {
+		t.Errorf("HomeFor with small and batch failed = %q, %v; want spare", got, ok)
+	}
+	s.Blocks["spare"].Failed = true
+	if got, ok := s.HomeFor(1, 1); ok {
+		t.Errorf("HomeFor with every block failed = %q, want none", got)
 	}
 }

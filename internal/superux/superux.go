@@ -9,9 +9,12 @@ package superux
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"sx4bench/internal/fault"
 )
@@ -100,11 +103,32 @@ type Job struct {
 	SubmitAt float64
 	StartAt  float64
 	FinishAt float64
-	Output   string // stdout produced so far (qcat reads this)
+	Log      []JobEvent // what the job has done so far (qcat renders this)
 
 	// Restarts counts checkpoint-driven recoveries: each fault that
 	// interrupts the job checkpoints it and requeues the remaining work.
 	Restarts int
+}
+
+// EventKind is what a JobEvent records.
+type EventKind uint8
+
+const (
+	EventStarted EventKind = iota
+	EventFinished
+	EventMoved
+	EventCheckpointed
+	EventMigrated
+	EventFailed
+)
+
+// JobEvent is one line of a job's qcat output, kept typed so the event
+// loop never formats text: QCat renders the log only when it is read.
+type JobEvent struct {
+	Kind      EventKind
+	At        float64
+	Remaining float64 // unfinished seconds, EventCheckpointed only
+	Block     string  // new resource block, EventMoved only
 }
 
 // Complex is an NQS queue complex: a group of resource blocks sharing
@@ -191,7 +215,7 @@ func (s *System) Submit(j Job) int {
 	// A submission against a block a fault already took down is
 	// rebound to a surviving block, or reported failed — not dropped.
 	if blk.Failed {
-		if home, ok := s.survivingHome(&j); ok {
+		if home, ok := s.HomeFor(j.CPUs, j.MemGB); ok {
 			j.Block = home
 		} else {
 			s.failJob(&j)
@@ -204,12 +228,12 @@ func (s *System) Submit(j Job) int {
 }
 
 func (s *System) sortQueue() {
-	sort.SliceStable(s.queue, func(a, b int) bool {
-		ja, jb := s.Jobs[s.queue[a]], s.Jobs[s.queue[b]]
-		if ja.Priority != jb.Priority {
-			return ja.Priority > jb.Priority
+	slices.SortStableFunc(s.queue, func(a, b int) int {
+		ja, jb := s.Jobs[a], s.Jobs[b]
+		if c := cmp.Compare(jb.Priority, ja.Priority); c != 0 {
+			return c
 		}
-		return ja.ID < jb.ID
+		return cmp.Compare(ja.ID, jb.ID)
 	})
 }
 
@@ -282,11 +306,15 @@ func (s *System) dispatch() {
 		j.StartAt = s.Clock
 		j.FinishAt = s.Clock + j.Seconds
 		// Append, not assign: a job restarted from a checkpoint keeps
-		// the output it produced before the fault.
-		j.Output += fmt.Sprintf("job %d (%s) started at %.2f\n", j.ID, j.Name, j.StartAt)
+		// the output it produced before the fault. A fresh log is sized
+		// for the common life of one start and one finish.
+		if j.Log == nil {
+			j.Log = make([]JobEvent, 0, 2)
+		}
+		j.Log = append(j.Log, JobEvent{Kind: EventStarted, At: j.StartAt})
 		s.active = append(s.active, id)
 	}
-	s.queue = append([]int(nil), remaining...)
+	s.queue = remaining
 }
 
 // Advance runs the event loop until no job is running or queued,
@@ -325,7 +353,7 @@ func (s *System) complete(next int) {
 	j := s.Jobs[next]
 	s.Clock = j.FinishAt
 	j.State = Done
-	j.Output += fmt.Sprintf("job %d (%s) finished at %.2f\n", j.ID, j.Name, j.FinishAt)
+	j.Log = append(j.Log, JobEvent{Kind: EventFinished, At: j.FinishAt})
 	blk := s.Blocks[j.Block]
 	blk.usedCPUs -= j.CPUs
 	blk.usedMem -= j.MemGB
@@ -341,12 +369,30 @@ func (s *System) complete(next int) {
 
 // QCat returns the stdout produced so far by a job — the SUPER-UX NQS
 // qcat command, which can inspect an executing batch script's output.
+// The text is rendered from the job's typed Log on each call.
 func (s *System) QCat(id int) (string, error) {
 	j, ok := s.Jobs[id]
 	if !ok {
 		return "", fmt.Errorf("superux: no job %d", id)
 	}
-	return j.Output, nil
+	var b strings.Builder
+	for _, e := range j.Log {
+		switch e.Kind {
+		case EventStarted:
+			fmt.Fprintf(&b, "job %d (%s) started at %.2f\n", j.ID, j.Name, e.At)
+		case EventFinished:
+			fmt.Fprintf(&b, "job %d (%s) finished at %.2f\n", j.ID, j.Name, e.At)
+		case EventMoved:
+			fmt.Fprintf(&b, "job %d (%s) moved to block %s at %.2f\n", j.ID, j.Name, e.Block, e.At)
+		case EventCheckpointed:
+			fmt.Fprintf(&b, "job %d (%s) checkpointed at %.2f (%.2fs remaining)\n", j.ID, j.Name, e.At, e.Remaining)
+		case EventMigrated:
+			fmt.Fprintf(&b, "job %d (%s) migrated off node at %.2f: no surviving resource block here\n", j.ID, j.Name, e.At)
+		case EventFailed:
+			fmt.Fprintf(&b, "job %d (%s) failed at %.2f: no surviving resource block\n", j.ID, j.Name, e.At)
+		}
+	}
+	return b.String(), nil
 }
 
 // Status returns a job's state.
@@ -421,9 +467,9 @@ func (s *System) Checkpoint() ([]byte, error) {
 }
 
 // Restart reconstructs a system from a checkpoint. A corrupt snapshot
-// — negative clock, unknown job state, a job referencing an undefined
-// resource block, or a queue/active entry naming a missing job — is
-// rejected rather than round-tripped silently. The fault schedule is
+// — negative clock, unknown job state or log event, a job referencing
+// an undefined resource block, or a queue/active entry naming a
+// missing job — is rejected rather than round-tripped silently. The fault schedule is
 // not part of the checkpoint; re-attach it with SetInjector.
 func Restart(data []byte) (*System, error) {
 	var snap snapshot
@@ -494,6 +540,11 @@ func (snap *snapshot) validate() error {
 		}
 		if _, ok := snap.Blocks[j.Block]; !ok {
 			return fmt.Errorf("job %d references undefined resource block %q", id, j.Block)
+		}
+		for _, e := range j.Log {
+			if e.Kind > EventFailed {
+				return fmt.Errorf("job %d log has unknown event kind %d", id, e.Kind)
+			}
 		}
 	}
 	for _, id := range snap.Queue {
