@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
+.PHONY: all build vet lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short loadbench-check ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
 
 all: build vet lint test
 
@@ -57,7 +57,8 @@ bench:
 # capacity scaling smokes (1k memo-cold scenarios each, checksums
 # cross-checked), the sx4d daemon smoke (live /healthz and
 # golden-pinned /v1/run over real HTTP), the seeded chaos soak, and
-# the cache warm-restart smoke (SIGTERM → snapshot → reboot → hit).
+# the cache warm-restart smoke (SIGTERM → snapshot → reboot → hit),
+# and the vet + tests of the nested loadbench benchmark module.
 ci:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -76,6 +77,14 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
 	$(MAKE) warm-restart-smoke
+	$(MAKE) loadbench-check
+
+# The sx4d benchmark lives in its own module (loadbench/, replaced onto
+# this one), so ./... never reaches it; it imports target, prog, serve,
+# ncar and fleet, and an API change there must fail here, not in the
+# next benchmark run.
+loadbench-check:
+	cd loadbench && $(GO) vet ./... && $(GO) test ./...
 
 # Cross-machine smoke: one line of scalar anchors per registered
 # machine, exercising the Target registry end to end.

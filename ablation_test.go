@@ -42,7 +42,7 @@ func copyCurve(m *sx4bench.Machine, ktries int, seed int64) []float64 {
 	noise := core.NewNoise(0.15, seed)
 	var ys []float64
 	for _, k := range kernels.CopySweep(4) {
-		meas := core.Run(m, k.Trace(), sx4.RunOpts{Procs: 1}, ktries, noise, k.PayloadBytes())
+		meas := core.Run(m, prog.MustCompile(k.Trace()), sx4.RunOpts{Procs: 1}, ktries, noise, k.PayloadBytes())
 		ys = append(ys, meas.MBps())
 	}
 	return ys
@@ -53,7 +53,7 @@ func copyCurve(m *sx4bench.Machine, ktries int, seed int64) []float64 {
 func quietCopyCurve(m *sx4bench.Machine) []float64 {
 	var ys []float64
 	for _, k := range kernels.CopySweep(4) {
-		meas := core.Run(m, k.Trace(), sx4.RunOpts{Procs: 1}, 1, nil, k.PayloadBytes())
+		meas := core.Run(m, prog.MustCompile(k.Trace()), sx4.RunOpts{Procs: 1}, 1, nil, k.PayloadBytes())
 		ys = append(ys, meas.MBps())
 	}
 	return ys
@@ -96,7 +96,7 @@ func BenchmarkAblationStrideSweep(b *testing.B) {
 				prog.Op{Class: prog.VLoad, VL: 1 << 18, Stride: stride},
 				prog.Op{Class: prog.VStore, VL: 1 << 18, Stride: 1},
 			)
-			r := m.Run(p, sx4.RunOpts{Procs: 1})
+			r := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1})
 			worst = r.PortMBps()
 		}
 	}

@@ -27,6 +27,7 @@ import (
 	"sx4bench/internal/radabs"
 	"sx4bench/internal/spharm"
 	"sx4bench/internal/sx4"
+	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/vmath"
 )
 
@@ -59,7 +60,7 @@ func BenchmarkTable3(b *testing.B) {
 	const n = 1 << 20
 	var exp float64
 	for i := 0; i < b.N; i++ {
-		r := m.Run(elefunt.PerfTrace("EXP", n), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(elefunt.PerfTrace("EXP", n)), sx4.RunOpts{Procs: 1})
 		exp = float64(n) / r.Seconds / 1e6
 	}
 	b.ReportMetric(exp, "EXP-Mcalls/s")
@@ -114,7 +115,7 @@ func BenchmarkFig5Copy(b *testing.B) {
 	k := kernels.Copy{N: 1 << 20, M: 1}
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		meas := core.Run(m, k.Trace(), sx4.RunOpts{Procs: 1}, 20, nil, k.PayloadBytes())
+		meas := core.Run(m, prog.MustCompile(k.Trace()), sx4.RunOpts{Procs: 1}, 20, nil, k.PayloadBytes())
 		mbps = meas.MBps()
 	}
 	b.ReportMetric(mbps, "MB/s")
@@ -125,7 +126,7 @@ func BenchmarkFig5IA(b *testing.B) {
 	k := kernels.IA{N: 1 << 20, M: 1}
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		meas := core.Run(m, k.Trace(), sx4.RunOpts{Procs: 1}, 20, nil, k.PayloadBytes())
+		meas := core.Run(m, prog.MustCompile(k.Trace()), sx4.RunOpts{Procs: 1}, 20, nil, k.PayloadBytes())
 		mbps = meas.MBps()
 	}
 	b.ReportMetric(mbps, "MB/s")
@@ -136,7 +137,7 @@ func BenchmarkFig5Xpose(b *testing.B) {
 	k := kernels.Xpose{N: 1000, M: 1}
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		meas := core.Run(m, k.Trace(), sx4.RunOpts{Procs: 1}, 20, nil, k.PayloadBytes())
+		meas := core.Run(m, prog.MustCompile(k.Trace()), sx4.RunOpts{Procs: 1}, 20, nil, k.PayloadBytes())
 		mbps = meas.MBps()
 	}
 	b.ReportMetric(mbps, "MB/s")
@@ -157,7 +158,7 @@ func BenchmarkFig6RFFT(b *testing.B) {
 	inst := fftpack.RFFTInstances(n)
 	var mf float64
 	for i := 0; i < b.N; i++ {
-		r := m.Run(fftpack.RFFTTrace(n, inst), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(fftpack.RFFTTrace(n, inst)), sx4.RunOpts{Procs: 1})
 		mf = fftpack.NominalMFLOPS(n, inst, r.Seconds)
 	}
 	b.ReportMetric(mf, "MFLOPS")
@@ -167,7 +168,7 @@ func BenchmarkFig7VFFT(b *testing.B) {
 	m := mach()
 	var mf float64
 	for i := 0; i < b.N; i++ {
-		r := m.Run(fftpack.VFFTTrace(256, 500), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(fftpack.VFFTTrace(256, 500)), sx4.RunOpts{Procs: 1})
 		mf = fftpack.NominalMFLOPS(256, 500, r.Seconds)
 	}
 	b.ReportMetric(mf, "MFLOPS")
@@ -199,7 +200,7 @@ func BenchmarkRADABS(b *testing.B) {
 	p := radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels)
 	var mf float64
 	for i := 0; i < b.N; i++ {
-		mf = m.Run(p, sx4.RunOpts{Procs: 1}).MFLOPS()
+		mf = m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1}).MFLOPS()
 	}
 	b.ReportMetric(mf, "MFLOPS(paper:865.9)")
 }

@@ -17,6 +17,7 @@ import (
 	"sx4bench/internal/ncar"
 	"sx4bench/internal/radabs"
 	"sx4bench/internal/stream"
+	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
 
@@ -40,7 +41,7 @@ func main() {
 	for _, n := range []int{100, 1000} {
 		fmt.Printf("  n=%-5d %7.0f MFLOPS\n", n, linpack.MFLOPS(m, n))
 	}
-	p := radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels)
+	p := prog.MustCompile(radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels))
 	fmt.Printf("  RADABS  %7.1f MFLOPS  <- the suite's own ceiling for climate codes\n",
 		m.Run(p, target.RunOpts{Procs: 1}).MFLOPS())
 

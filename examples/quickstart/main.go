@@ -12,6 +12,7 @@ import (
 	"sx4bench/internal/kernels"
 	"sx4bench/internal/ncar"
 	"sx4bench/internal/radabs"
+	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
 
@@ -28,12 +29,12 @@ func main() {
 		{N: 1_000, M: 1_000},
 		{N: 1_000_000, M: 1},
 	} {
-		meas := core.Run(m, k.Trace(), target.RunOpts{Procs: 1}, 20, noise, k.PayloadBytes())
+		meas := core.Run(m, prog.MustCompile(k.Trace()), target.RunOpts{Procs: 1}, 20, noise, k.PayloadBytes())
 		fmt.Printf("  N=%-9d M=%-8d -> %8.0f MB/s\n", k.N, k.M, meas.MBps())
 	}
 
 	// RADABS: the raw-performance kernel.
-	p := radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels)
+	p := prog.MustCompile(radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels))
 	r := m.Run(p, target.RunOpts{Procs: 1})
 	fmt.Printf("\nRADABS on one CPU: %.1f Y-MP-equivalent MFLOPS (paper: 865.9)\n", r.MFLOPS())
 

@@ -164,16 +164,16 @@ var stepTraces target.TraceCache[Resolution]
 
 // CompiledStepTrace returns the step trace in its cached compiled
 // form, for callers that time the same resolution repeatedly.
-func CompiledStepTrace(res Resolution) target.CompiledTrace {
+func CompiledStepTrace(res Resolution) *prog.Compiled {
 	return stepTraces.Get(res, func() prog.Program { return StepTrace(res) })
 }
 
 // StepFlops returns the credited flop count of one step.
-func StepFlops(res Resolution) int64 { return CompiledStepTrace(res).Compiled.Flops }
+func StepFlops(res Resolution) int64 { return CompiledStepTrace(res).Flops }
 
 // StepSeconds simulates one time step on the target machine.
 func StepSeconds(m target.Target, res Resolution, procs, active int) float64 {
-	return CompiledStepTrace(res).Run(m, target.RunOpts{Procs: procs, ActiveCPUs: active}).Seconds
+	return m.Run(CompiledStepTrace(res), target.RunOpts{Procs: procs, ActiveCPUs: active}).Seconds
 }
 
 // SustainedGFLOPS returns the model's sustained rate at a resolution

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sx4bench/internal/sx4"
+	"sx4bench/internal/sx4/prog"
 )
 
 func bench() *sx4.Machine { return sx4.New(sx4.Benchmarked()) }
@@ -140,7 +141,7 @@ func TestRadiationDominatesPhysicsBudget(t *testing.T) {
 	// must be the largest single phase of the step on one CPU.
 	m := bench()
 	res, _ := ResolutionByName("T42L18")
-	r := m.Run(StepTrace(res), sx4.RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(StepTrace(res)), sx4.RunOpts{Procs: 1})
 	var radClocks, maxOther float64
 	for _, ph := range r.Phases {
 		if ph.Name == "radiation" {

@@ -12,111 +12,70 @@ import (
 	"sx4bench/internal/target"
 )
 
-// The compiled-trace differential suite: the interpreted engine is the
-// oracle, and every property below pins the compiled path — Compile
-// followed by the flat walk — to be bit-identical to it, over the same
+// The compiled-trace differential suite: each engine's Interpret —
+// the source trace walked op by op, no memo, no compiled-trace cache —
+// is the oracle, and every property below pins Run — Compile followed
+// by the memoized flat walk — to be bit-identical to it, over the same
 // randomized (config, program, opts) cases the metamorphic suite uses.
 
-// TestQuickCompiledBitIdentical: with the memo out of the way, the
-// compiled engine and the interpreted engine must agree bit for bit on
+// TestQuickCompiledBitIdentical: the SX-4 engine's Run (memo cold,
+// then memo warm) and its interpreter must agree bit for bit on
 // randomized traces — Clocks, Seconds, Flops, Words, and every phase
 // record.
 func TestQuickCompiledBitIdentical(t *testing.T) {
 	for i, data := range randCases(120) {
 		cfg, p, opts := DecodeCase(data)
-		compiled := sx4.New(cfg)
-		compiled.SetCache(false)
-		interp := sx4.New(cfg)
-		interp.SetCache(false)
-		interp.SetCompiled(false)
-		rc := compiled.Run(p, opts)
-		ri := interp.Run(p, opts)
-		if !reflect.DeepEqual(rc, ri) {
-			t.Errorf("case %d: compiled run differs from interpreted: %+v vs %+v", i, rc, ri)
-		}
-	}
-}
-
-// TestQuickRunCompiledMatchesRun: the RunCompiled entry point (a
-// pre-flattened trace with its stamped fingerprint) must agree with
-// Run on the source program, on the same machine, memo enabled — the
-// two entry points share one memo, so any divergence would poison it.
-func TestQuickRunCompiledMatchesRun(t *testing.T) {
-	for i, data := range randCases(80) {
-		cfg, p, opts := DecodeCase(data)
-		c, err := prog.Compile(p)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
 		m := sx4.New(cfg)
-		viaRun := m.Run(p, opts)
-		viaCompiled := m.RunCompiled(c, opts)
-		if !reflect.DeepEqual(viaRun, viaCompiled) {
-			t.Errorf("case %d: RunCompiled differs from Run: %+v vs %+v", i, viaRun, viaCompiled)
-		}
-		// And memo-cold in the opposite order on a fresh machine.
-		m2 := sx4.New(cfg)
-		viaCompiled2 := m2.RunCompiled(c, opts)
-		if !reflect.DeepEqual(viaRun, viaCompiled2) {
-			t.Errorf("case %d: memo-cold RunCompiled differs from Run: %+v vs %+v",
-				i, viaRun, viaCompiled2)
+		c := prog.MustCompile(p)
+		ri := m.Interpret(p, opts)
+		for _, phase := range []string{"cold", "warm"} {
+			if rc := m.Run(c, opts); !reflect.DeepEqual(rc, ri) {
+				t.Errorf("case %d: %s run differs from interpreted: %+v vs %+v", i, phase, rc, ri)
+			}
 		}
 	}
 }
 
-// TestQuickWorkstationCompiledBitIdentical: the workstation models
-// carry the same compiled/interpreted pair; both engines and both
-// entry points must agree on randomized traces.
+// TestQuickWorkstationCompiledBitIdentical: the workstation engine
+// carries the same Run/Interpret pair; both must agree on randomized
+// traces.
 func TestQuickWorkstationCompiledBitIdentical(t *testing.T) {
 	ctors := []func() *machine.Workstation{machine.SunSparc20, machine.IBMRS6000590}
 	for i, data := range randCases(60) {
 		p := DecodeProgram(data)
-		c, err := prog.Compile(p)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
+		c := prog.MustCompile(p)
 		for _, ctor := range ctors {
-			compiled := ctor()
-			interp := ctor()
-			interp.SetCompiled(false)
-			rc := compiled.Run(p, target.RunOpts{Procs: 1})
-			ri := interp.Run(p, target.RunOpts{Procs: 1})
+			w := ctor()
+			rc := w.Run(c, target.RunOpts{Procs: 1})
+			ri := w.Interpret(p, target.RunOpts{Procs: 1})
 			if !reflect.DeepEqual(rc, ri) {
 				t.Errorf("case %d (%s): compiled differs from interpreted: %+v vs %+v",
-					i, compiled.Name(), rc, ri)
-			}
-			rcc := compiled.RunCompiled(c, target.RunOpts{Procs: 1})
-			if !reflect.DeepEqual(rc, rcc) {
-				t.Errorf("case %d (%s): RunCompiled differs from Run: %+v vs %+v",
-					i, compiled.Name(), rc, rcc)
+					i, w.Name(), rc, ri)
 			}
 		}
 	}
 }
 
-// TestCompiledConcurrentReuse: many goroutines hammer one machine with
-// a mix of Run and RunCompiled over a small program set, so the
-// compiled-trace cache's first-store-wins path, the sharded memo and
-// the shared *compiledProgram values all see real concurrent reuse.
-// Every goroutine must observe results identical to a serial oracle;
+// TestCompiledConcurrentReuse: many goroutines hammer one machine's
+// Run over a small program set, so the compiled-trace cache's
+// first-store-wins path, the sharded memo and the shared
+// *compiledProgram values all see real concurrent reuse. Every
+// goroutine must observe results identical to the interpreter;
 // `go test -race ./internal/check` (CI's race-full) makes this a
 // data-race proof, not just an equality check.
 func TestCompiledConcurrentReuse(t *testing.T) {
 	cases := randCases(16)
 	type unit struct {
-		p    prog.Program
 		c    *prog.Compiled
 		opts sx4.RunOpts
 		want sx4.Result
 	}
 	cfg := sx4.Benchmarked()
 	oracle := sx4.New(cfg)
-	oracle.SetCache(false)
-	oracle.SetCompiled(false)
 	units := make([]unit, len(cases))
 	for i, data := range cases {
 		_, p, opts := DecodeCase(data)
-		units[i] = unit{p: p, c: prog.MustCompile(p), opts: opts, want: oracle.Run(p, opts)}
+		units[i] = unit{c: prog.MustCompile(p), opts: opts, want: oracle.Interpret(p, opts)}
 	}
 
 	shared := sx4.New(cfg)
@@ -129,13 +88,7 @@ func TestCompiledConcurrentReuse(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				u := &units[(g+rep)%len(units)]
-				var got sx4.Result
-				if (g+rep)%2 == 0 {
-					got = shared.Run(u.p, u.opts)
-				} else {
-					got = shared.RunCompiled(u.c, u.opts)
-				}
-				if !reflect.DeepEqual(got, u.want) {
+				if got := shared.Run(u.c, u.opts); !reflect.DeepEqual(got, u.want) {
 					errs[g] = &mismatchError{g: g, rep: rep}
 					return
 				}

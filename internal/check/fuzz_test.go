@@ -10,6 +10,7 @@ import (
 
 	"sx4bench/internal/benchjson"
 	"sx4bench/internal/sx4"
+	"sx4bench/internal/sx4/prog"
 )
 
 // FuzzProgramFingerprint drives the trace IR with arbitrary structured
@@ -48,8 +49,8 @@ func FuzzProgramFingerprint(f *testing.F) {
 }
 
 // FuzzMachineRun decodes a full (config, program, opts) case and checks
-// run-cache coherence: cached, clone-keyed, and uncached runs must be
-// deep-equal; totals must match the program's analytic counts; times
+// run-cache coherence: cached, clone-keyed, and interpreted runs must
+// be deep-equal; totals must match the program's analytic counts; times
 // must be finite and non-negative. Any panic is a finding.
 func FuzzMachineRun(f *testing.F) {
 	f.Add([]byte{})
@@ -61,18 +62,16 @@ func FuzzMachineRun(f *testing.F) {
 			t.Fatalf("DecodeCase produced an invalid config: %v", err)
 		}
 		m := sx4.New(cfg)
-		cold := m.Run(p, opts)
+		cold := m.Run(prog.MustCompile(p), opts)
 		// A clone has the same fingerprint, so it must hit the memo and
-		// return the identical result; an uncached machine must agree.
-		viaClone := m.Run(p.Clone(), opts)
-		fresh := sx4.New(cfg)
-		fresh.SetCache(false)
-		direct := fresh.Run(p, opts)
+		// return the identical result; the interpreter must agree.
+		viaClone := m.Run(prog.MustCompile(p.Clone()), opts)
+		direct := m.Interpret(p, opts)
 		if !reflect.DeepEqual(cold, viaClone) {
 			t.Fatalf("clone-keyed cached run differs:\n%+v\n%+v", cold, viaClone)
 		}
 		if !reflect.DeepEqual(cold, direct) {
-			t.Fatalf("cached and uncached runs differ:\n%+v\n%+v", cold, direct)
+			t.Fatalf("cached and interpreted runs differ:\n%+v\n%+v", cold, direct)
 		}
 		if cold.Flops != p.Flops() {
 			t.Fatalf("Result.Flops=%d, program says %d", cold.Flops, p.Flops())

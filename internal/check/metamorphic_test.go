@@ -33,8 +33,8 @@ func TestMetamorphicClockInverse(t *testing.T) {
 		cfg, p, opts := DecodeCase(data)
 		fast := cfg
 		fast.ClockNS = cfg.ClockNS / 2
-		r1 := sx4.New(cfg).Run(p, opts)
-		r2 := sx4.New(fast).Run(p, opts)
+		r1 := sx4.New(cfg).Run(prog.MustCompile(p), opts)
+		r2 := sx4.New(fast).Run(prog.MustCompile(p), opts)
 		if r1.Clocks != r2.Clocks {
 			t.Errorf("case %d: Clocks moved with clock frequency: %v vs %v", i, r1.Clocks, r2.Clocks)
 		}
@@ -45,23 +45,22 @@ func TestMetamorphicClockInverse(t *testing.T) {
 	}
 }
 
-// TestMetamorphicCacheTransparent: a warm memoized run, a second warm
-// run, and a run on an uncached machine must agree exactly — the memo
-// may never change results, only skip work.
+// TestMetamorphicCacheTransparent: a memo-cold run, a warm memoized
+// run, and the interpreter (no memo at all) must agree exactly — the
+// memo may never change results, only skip work.
 func TestMetamorphicCacheTransparent(t *testing.T) {
 	for i, data := range randCases(40) {
 		cfg, p, opts := DecodeCase(data)
-		cached := sx4.New(cfg)
-		cold := cached.Run(p, opts)
-		warm := cached.Run(p, opts)
-		uncached := sx4.New(cfg)
-		uncached.SetCache(false)
-		direct := uncached.Run(p, opts)
+		m := sx4.New(cfg)
+		c := prog.MustCompile(p)
+		cold := m.Run(c, opts)
+		warm := m.Run(c, opts)
+		direct := m.Interpret(p, opts)
 		if !reflect.DeepEqual(cold, warm) {
 			t.Errorf("case %d: warm run differs from cold run", i)
 		}
 		if !reflect.DeepEqual(cold, direct) {
-			t.Errorf("case %d: cached result differs from uncached: %+v vs %+v", i, cold, direct)
+			t.Errorf("case %d: cached result differs from interpreted: %+v vs %+v", i, cold, direct)
 		}
 	}
 }
@@ -76,7 +75,7 @@ func TestMetamorphicCloneCoherent(t *testing.T) {
 			t.Errorf("case %d: clone fingerprint differs", i)
 		}
 		m := sx4.New(cfg)
-		if !reflect.DeepEqual(m.Run(p, opts), m.Run(q, opts)) {
+		if !reflect.DeepEqual(m.Run(prog.MustCompile(p), opts), m.Run(prog.MustCompile(q), opts)) {
 			t.Errorf("case %d: clone runs differently", i)
 		}
 	}
@@ -107,8 +106,8 @@ func TestMetamorphicStrideOneOptimal(t *testing.T) {
 			continue
 		}
 		m := sx4.New(cfg)
-		orig := m.Run(p, opts)
-		unit := m.Run(q, opts)
+		orig := m.Run(prog.MustCompile(p), opts)
+		unit := m.Run(prog.MustCompile(q), opts)
 		if unit.Clocks > orig.Clocks {
 			t.Errorf("case %d: stride-1 rewrite slowed the run: %v > %v clocks",
 				i, unit.Clocks, orig.Clocks)
@@ -127,7 +126,7 @@ func TestMetamorphicActiveCPUsMonotone(t *testing.T) {
 		for _, active := range []int{opts.Procs, 8, 16, 32} {
 			o := opts
 			o.ActiveCPUs = active
-			r := m.Run(p, o)
+			r := m.Run(prog.MustCompile(p), o)
 			if prev >= 0 && r.Clocks < prev {
 				t.Errorf("case %d: Clocks dropped from %v to %v when ActiveCPUs rose to %d",
 					i, prev, r.Clocks, active)
@@ -179,7 +178,7 @@ func TestMetamorphicVectorLengthMonotone(t *testing.T) {
 		prevVL := 0
 		for vl := 4; vl <= totalElems; vl *= 4 {
 			p := prog.Simple(b.name, int64(totalElems/vl), b.ops(vl)...)
-			r := m.Run(p, sx4.RunOpts{Procs: 1})
+			r := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1})
 			if prev >= 0 && r.Clocks > prev {
 				t.Errorf("%s: clocks rose from %v (VL=%d) to %v (VL=%d) at fixed work",
 					b.name, prev, prevVL, r.Clocks, vl)

@@ -281,7 +281,10 @@ func (c *Client) Run(ctx context.Context, req serve.RunRequest) (RunResult, erro
 // consumed retries like Run (nothing was delivered, so the replay is
 // exact); once lines are flowing the stream is not restarted — the
 // caller re-sweeps if it must, and the daemon's cache makes the replay
-// cheap. fn returning an error stops the stream.
+// cheap. fn returning an error stops the stream. A stream that ends
+// cleanly with a different number of answer lines than requests (a
+// truncated batch, or a trailing stream-error line) is an error naming
+// both counts.
 func (c *Client) Sweep(ctx context.Context, reqs []serve.RunRequest, fn func(i int, line []byte) error) error {
 	var body bytes.Buffer
 	for _, r := range reqs {
@@ -301,6 +304,9 @@ func (c *Client) Sweep(ctx context.Context, reqs []serve.RunRequest, fn func(i i
 		}
 		n, err := c.sweepOnce(ctx, body.Bytes(), fn)
 		if err == nil {
+			if n != len(reqs) {
+				return fmt.Errorf("client: sweep answered %d lines for %d requests", n, len(reqs))
+			}
 			return nil
 		}
 		var se *StatusError

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,6 +255,44 @@ func TestSweepRetriesBeforeFirstLine(t *testing.T) {
 	}
 	if got := fh.hits.Load(); got != 2 {
 		t.Fatalf("server saw %d attempts, want 2", got)
+	}
+}
+
+// TestSweepShortStreamIsAnError: a stream that ends cleanly but short
+// of one answer per request (a truncated batch) must not read as
+// success, and is not replayed once lines were delivered.
+func TestSweepShortStreamIsAnError(t *testing.T) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"machine":"sx4-32","cpus":1,"results":[]}`)
+		fmt.Fprintln(w, `{"machine":"sx4-32","cpus":1,"results":[]}`)
+	}))
+	defer ts.Close()
+
+	var waits []time.Duration
+	c := instantClient(ts.URL, &waits)
+	reqs := make([]serve.RunRequest, 3)
+	for i := range reqs {
+		reqs[i] = serve.RunRequest{Machine: "sx4-32", Benchmarks: []string{"COPY"}}
+	}
+	n := 0
+	err := c.Sweep(context.Background(), reqs, func(i int, line []byte) error { n++; return nil })
+	if err == nil {
+		t.Fatal("short sweep stream reported success")
+	}
+	for _, want := range []string{"2 lines", "3 requests"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if n != 2 {
+		t.Errorf("delivered %d lines, want the 2 the stream carried", n)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Errorf("server saw %d attempts, want 1 (no replay after delivered lines)", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package core is the NCAR benchmark-suite framework: the methodology
-// layer of the paper. It provides the executor abstraction shared by
-// the SX-4 model and the comparison-machine models, the KTRIES
+// layer of the paper. It provides the measurement loop shared by the
+// SX-4 model and the comparison-machine models, the KTRIES
 // best-of-k repetition rule, the constant-data-volume parameter sweeps
 // used by the memory and FFT kernels, and result series/table types
 // that the reporting tools render.
@@ -14,15 +14,6 @@ import (
 	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
-
-// Executor is a machine (real or modeled) that can execute an operation
-// trace: the subset of target.Target the measurement loop needs. Every
-// registered target satisfies it — *sx4.Machine and the Table 1 models
-// in internal/machine alike.
-type Executor interface {
-	Name() string
-	Run(p prog.Program, opts target.RunOpts) target.Result
-}
 
 // Noise perturbs simulated timings with deterministic pseudo-random
 // system jitter (interrupts, daemons, memory refresh), so that the
@@ -240,34 +231,16 @@ func ConstantVolumeSweep(volume, minN, maxN, perDecade int) []SweepPair {
 	return pairs
 }
 
-// Run measures one trace on an executor with KTRIES repetitions under
-// jitter, returning the best time. payloadBytes may be zero for
+// Run measures one compiled trace on a target with KTRIES repetitions
+// under jitter, returning the best time. payloadBytes may be zero for
 // compute benchmarks.
-func Run(ex Executor, p prog.Program, opts target.RunOpts, ktries int, noise *Noise, payloadBytes int64) Measurement {
-	// Executors are pure functions of (p, opts) — jitter enters only
+func Run(t target.Target, c *prog.Compiled, opts target.RunOpts, ktries int, noise *Noise, payloadBytes int64) Measurement {
+	// Targets are pure functions of (c, opts) — jitter enters only
 	// through noise — so the trace is simulated once and only the
-	// perturbation repeats. The draw sequence matches calling ex.Run
+	// perturbation repeats. The draw sequence matches calling t.Run
 	// inside the loop draw-for-draw, so reported numbers are unchanged,
 	// but a KTRIES=20 point costs one simulation instead of twenty.
-	r := ex.Run(p, opts)
-	best := KTries(ktries, func() float64 {
-		return noise.Perturb(r.Seconds)
-	})
-	return Measurement{Seconds: best, Flops: r.Flops, PayloadBytes: payloadBytes}
-}
-
-// RunCompiled is Run for a pre-compiled trace: sweep drivers that
-// revisit the same trace shape across points, machines or KTRIES
-// draws cache the compiled form once and skip rebuilding and
-// re-hashing the program on every measurement. The reported numbers
-// are bit-identical to Run on the source program.
-func RunCompiled(ex Executor, ct target.CompiledTrace, opts target.RunOpts, ktries int, noise *Noise, payloadBytes int64) Measurement {
-	var r target.Result
-	if cr, ok := ex.(target.CompiledRunner); ok && ct.Compiled != nil {
-		r = cr.RunCompiled(ct.Compiled, opts)
-	} else {
-		r = ex.Run(ct.Program, opts)
-	}
+	r := t.Run(c, opts)
 	best := KTries(ktries, func() float64 {
 		return noise.Perturb(r.Seconds)
 	})

@@ -139,7 +139,7 @@ func TestRunAgainstMachine(t *testing.T) {
 	p := prog.Simple("copy", 10,
 		prog.Op{Class: prog.VLoad, VL: 1000, Stride: 1},
 		prog.Op{Class: prog.VStore, VL: 1000, Stride: 1})
-	meas := Run(m, p, sx4.RunOpts{Procs: 1}, 5, NewNoise(0.02, 3), 16*10*1000)
+	meas := Run(m, prog.MustCompile(p), sx4.RunOpts{Procs: 1}, 5, NewNoise(0.02, 3), 16*10*1000)
 	if meas.Seconds <= 0 {
 		t.Fatalf("non-positive time %v", meas.Seconds)
 	}
@@ -147,7 +147,7 @@ func TestRunAgainstMachine(t *testing.T) {
 		t.Error("zero bandwidth")
 	}
 	// Best-of-5 under 2% jitter should be within 2% of the noiseless time.
-	clean := m.Run(p, sx4.RunOpts{Procs: 1}).Seconds
+	clean := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1}).Seconds
 	if meas.Seconds < clean || meas.Seconds > clean*1.02 {
 		t.Errorf("KTRIES measurement %v outside [%v, %v]", meas.Seconds, clean, clean*1.02)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sx4bench/internal/sx4"
+	"sx4bench/internal/sx4/prog"
 )
 
 func TestAllFunctionsAccurate(t *testing.T) {
@@ -84,7 +85,7 @@ func TestPerfTraceRates(t *testing.T) {
 	n := 1 << 20
 	rate := map[string]float64{}
 	for _, fn := range Functions {
-		r := m.Run(PerfTrace(fn, n), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(PerfTrace(fn, n)), sx4.RunOpts{Procs: 1})
 		rate[fn] = float64(PerfCalls(n)) / r.Seconds / 1e6
 	}
 	if !(rate["SQRT"] > rate["EXP"]) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sx4bench/internal/sx4"
+	"sx4bench/internal/sx4/prog"
 )
 
 func TestTraceFlopsMatchProgram(t *testing.T) {
@@ -39,11 +40,11 @@ func TestVFFTMuchFasterThanRFFT(t *testing.T) {
 	m := sx4.New(sx4.BenchmarkedSingleCPU())
 	n := 256
 	rm := RFFTInstances(n) // ~3900 instances
-	rr := m.Run(RFFTTrace(n, rm), sx4.RunOpts{Procs: 1})
+	rr := m.Run(prog.MustCompile(RFFTTrace(n, rm)), sx4.RunOpts{Procs: 1})
 	rfftMF := NominalMFLOPS(n, rm, rr.Seconds)
 
 	vm := 500
-	vr := m.Run(VFFTTrace(n, vm), sx4.RunOpts{Procs: 1})
+	vr := m.Run(prog.MustCompile(VFFTTrace(n, vm)), sx4.RunOpts{Procs: 1})
 	vfftMF := NominalMFLOPS(n, vm, vr.Seconds)
 
 	ratio := vfftMF / rfftMF
@@ -66,7 +67,7 @@ func TestRFFTPerformanceGrowsWithN(t *testing.T) {
 	prev := 0.0
 	for _, n := range []int{8, 32, 128, 512, 1024} {
 		inst := RFFTInstances(n)
-		r := m.Run(RFFTTrace(n, inst), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(RFFTTrace(n, inst)), sx4.RunOpts{Procs: 1})
 		mf := NominalMFLOPS(n, inst, r.Seconds)
 		if mf < prev*0.8 {
 			t.Errorf("RFFT MFLOPS dropped sharply at n=%d: %.1f < %.1f", n, mf, prev)
@@ -80,7 +81,7 @@ func TestVFFTPerformanceGrowsWithM(t *testing.T) {
 	n := 256
 	prev := 0.0
 	for _, inst := range VFFTInstanceCounts {
-		r := m.Run(VFFTTrace(n, inst), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(VFFTTrace(n, inst)), sx4.RunOpts{Procs: 1})
 		mf := NominalMFLOPS(n, inst, r.Seconds)
 		if mf <= prev {
 			t.Errorf("VFFT MFLOPS not increasing at M=%d: %.1f <= %.1f", inst, mf, prev)
@@ -95,7 +96,7 @@ func TestMixedRadixSlowerPerNominalFlop(t *testing.T) {
 	// families in Figures 6 and 7).
 	m := sx4.New(sx4.BenchmarkedSingleCPU())
 	mf := func(n int) float64 {
-		r := m.Run(VFFTTrace(n, 200), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(VFFTTrace(n, 200)), sx4.RunOpts{Procs: 1})
 		return NominalMFLOPS(n, 200, r.Seconds)
 	}
 	pow2 := mf(256)
@@ -116,7 +117,7 @@ func TestRFFTFamilySeparation(t *testing.T) {
 	m := sx4.New(sx4.BenchmarkedSingleCPU())
 	mf := func(n int) float64 {
 		inst := RFFTInstances(n)
-		r := m.Run(RFFTTrace(n, inst), sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(RFFTTrace(n, inst)), sx4.RunOpts{Procs: 1})
 		return NominalMFLOPS(n, inst, r.Seconds)
 	}
 	p1024 := mf(1024)

@@ -213,7 +213,7 @@ func TestFigure5Ordering(t *testing.T) {
 	// At large N, COPY must far exceed XPOSE and IA (Figure 5).
 	m := sx4.New(sx4.BenchmarkedSingleCPU())
 	bw := func(p prog.Program, payload int64) float64 {
-		r := m.Run(p, sx4.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1})
 		return float64(payload) / r.Seconds / 1e6
 	}
 	c := Copy{N: 1 << 20, M: 1}

@@ -200,7 +200,6 @@ var traces target.TraceCache[int]
 
 // MFLOPS models the benchmark rate on a machine at order n.
 func MFLOPS(m target.Target, n int) float64 {
-	ct := traces.Get(n, func() prog.Program { return Trace(n) })
-	r := ct.Run(m, target.RunOpts{Procs: 1})
+	r := m.Run(traces.Get(n, func() prog.Program { return Trace(n) }), target.RunOpts{Procs: 1})
 	return Flops(n) / r.Seconds / 1e6
 }

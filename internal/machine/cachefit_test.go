@@ -18,12 +18,12 @@ import (
 // 10:1 cache-to-memory bandwidth ratio, so a cache miss is unmissable
 // in the timing.
 func ws64() *Workstation {
-	return &Workstation{
+	return newWorkstation(Workstation{
 		ModelName: "test-64KB", ClockNS: 10,
 		FlopsPerClock: 1, CacheKB: 64,
 		CacheWordsPerClock: 1, MemWordsPerClock: 0.1,
 		GatherPenalty: 1.5, IntrinsicClocks: 50, IssuePerClock: 1,
-	}
+	})
 }
 
 // copyTrip returns a one-trip copy loop moving words words through the
@@ -37,7 +37,7 @@ func copyTrip(words int) prog.Program {
 }
 
 func runClocks(w *Workstation, p prog.Program) float64 {
-	return w.Run(p, sx4.RunOpts{Procs: 1}).Clocks
+	return w.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1}).Clocks
 }
 
 func TestCacheFitAtEdge(t *testing.T) {
@@ -52,7 +52,7 @@ func TestCacheFitAtEdge(t *testing.T) {
 		t.Errorf("at-edge trip: %v clocks, want cache-speed %v", fits, wantFits)
 	}
 
-	exceeds := runClocks(w, copyTrip(edge + 1))
+	exceeds := runClocks(w, copyTrip(edge+1))
 	wantExceeds := float64(edge+1)/w.MemWordsPerClock + 4/w.IssuePerClock
 	if exceeds != wantExceeds {
 		t.Errorf("one-word-over trip: %v clocks, want memory-speed %v", exceeds, wantExceeds)
@@ -137,13 +137,13 @@ func TestCacheFitDrivesInversion(t *testing.T) {
 
 	// Vector path, cache-busting: 128000-word streams, 1.5x the RS6000's
 	// 256 KB cache per trip.
-	big := prog.Simple("big", 4,
+	big := prog.MustCompile(prog.Simple("big", 4,
 		prog.Op{Class: prog.VLoad, VL: 128000, Stride: 1},
 		prog.Op{Class: prog.VLoad, VL: 128000, Stride: 1},
 		prog.Op{Class: prog.VMul, VL: 128000},
 		prog.Op{Class: prog.VAdd, VL: 128000},
 		prog.Op{Class: prog.VStore, VL: 128000, Stride: 1},
-	)
+	))
 	opts := sx4.RunOpts{Procs: 1}
 	if rsB, ympB := rs6k.Run(big, opts).Seconds, ymp.Run(big, opts).Seconds; ympB >= rsB/5 {
 		t.Errorf("cache-busting: Y-MP %.3g s not >5x faster than RS6000 %.3g s", ympB, rsB)

@@ -35,12 +35,6 @@ func (w *Workstation) Degraded(d fault.Degradation) (target.Target, error) {
 			w.ModelName, target.ErrMachineDown)
 	}
 	c := *w
-	c.memo = target.NewMemo()
-	if w.progs != nil {
-		// Compiled timings bake in the healthy memory and cache rates;
-		// the degraded copy must recompile against its own.
-		c.progs = &target.FPCache[*wsTiming]{}
-	}
 	for i := 0; i < d.BankHalvings; i++ {
 		c.MemWordsPerClock /= 2
 	}
@@ -49,8 +43,7 @@ func (w *Workstation) Degraded(d fault.Degradation) (target.Target, error) {
 	}
 	// IOP stalls do not affect the workstation compute model (no I/O
 	// subsystem is modeled; the disk-dependent rows are gated off).
-	if c.fp != 0 {
-		c.fp = c.computeFingerprint()
-	}
-	return &c, nil
+	// Compiled timings bake in the healthy memory and cache rates, so
+	// the degraded copy starts with cold caches of its own.
+	return newWorkstation(c), nil
 }

@@ -79,8 +79,8 @@ func TestWorkstationDegraded(t *testing.T) {
 		t.Error("degraded workstation fingerprints identically to healthy")
 	}
 	opts := sx4.RunOpts{Procs: 1}
-	healthy := w.Run(degradeTrace(), opts).Seconds
-	degraded := dw.Run(degradeTrace(), opts).Seconds
+	healthy := w.Run(prog.MustCompile(degradeTrace()), opts).Seconds
+	degraded := dw.Run(prog.MustCompile(degradeTrace()), opts).Seconds
 	if degraded <= healthy {
 		t.Errorf("degraded workstation not slower: healthy %gs, degraded %gs", healthy, degraded)
 	}
@@ -106,8 +106,8 @@ func TestRegistryDegradedNeverFaster(t *testing.T) {
 			continue
 		}
 		opts := sx4.RunOpts{Procs: tgt.Spec().CPUs}
-		healthy := tgt.Run(degradeTrace(), opts).Seconds
-		degraded := dt.Run(degradeTrace(), opts).Seconds
+		healthy := tgt.Run(prog.MustCompile(degradeTrace()), opts).Seconds
+		degraded := dt.Run(prog.MustCompile(degradeTrace()), opts).Seconds
 		if degraded < healthy {
 			t.Errorf("%s: degraded %gs faster than healthy %gs", name, degraded, healthy)
 		}

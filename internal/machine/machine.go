@@ -145,50 +145,47 @@ type Workstation struct {
 	IssuePerClock float64
 
 	// memo holds memoized trace timings keyed on the model's
-	// fingerprint; nil (the zero value) disables memoization, so
-	// literal-constructed Workstations keep working.
+	// fingerprint.
 	memo *target.Memo
 	// progs caches compiled per-phase timings keyed by program
 	// fingerprint — the workstation model ignores RunOpts entirely, so
 	// a compiled trace answers every memo-cold Run with a flat copy.
-	// nil (the zero value) interprets the trace each time.
 	progs *target.FPCache[*wsTiming]
-	// fp is the precomputed configuration fingerprint; zero (the
-	// literal-construction default) recomputes on every call, so
-	// hand-built workstations stay correct under field mutation. The
-	// registered constructors and Degraded stamp it — like the rest of
-	// the model, stamped machines follow "configure first, then share".
+	// fp is the configuration fingerprint, stamped at construction:
+	// like the rest of the model, a workstation follows "configure
+	// first, then share", and its parameters never change afterwards.
 	fp uint64
 }
 
 var _ target.Target = (*Workstation)(nil)
 
+// newWorkstation is the one construction path: it copies the model
+// parameters in w and stamps the cold caches and the fingerprint.
+func newWorkstation(w Workstation) *Workstation {
+	w.memo = target.NewMemo()
+	w.progs = &target.FPCache[*wsTiming]{}
+	w.fp = w.computeFingerprint()
+	return &w
+}
+
 // SunSparc20 models a 75 MHz SuperSPARC SUN Sparc 20.
 func SunSparc20() *Workstation {
-	w := &Workstation{
+	return newWorkstation(Workstation{
 		ModelName: "SUN Sparc 20", ClockNS: 13.33,
 		FlopsPerClock: 0.55, CacheKB: 16,
 		CacheWordsPerClock: 1, MemWordsPerClock: 0.12,
 		GatherPenalty: 1.5, IntrinsicClocks: 100, IssuePerClock: 1.2,
-		memo:  target.NewMemo(),
-		progs: &target.FPCache[*wsTiming]{},
-	}
-	w.fp = w.computeFingerprint()
-	return w
+	})
 }
 
 // IBMRS6000590 models a 66.5 MHz POWER2 IBM RS6000/590.
 func IBMRS6000590() *Workstation {
-	w := &Workstation{
+	return newWorkstation(Workstation{
 		ModelName: "IBM RS6000/590", ClockNS: 15.04,
 		FlopsPerClock: 2.2, CacheKB: 256,
 		CacheWordsPerClock: 2, MemWordsPerClock: 0.4,
 		GatherPenalty: 1.5, IntrinsicClocks: 70, IssuePerClock: 2,
-		memo:  target.NewMemo(),
-		progs: &target.FPCache[*wsTiming]{},
-	}
-	w.fp = w.computeFingerprint()
-	return w
+	})
 }
 
 // Name returns the model designation.
@@ -215,16 +212,9 @@ func (w *Workstation) Spec() target.Spec {
 	}
 }
 
-// Fingerprint returns the configuration fingerprint: the stamped one
-// when the workstation came from a constructor, recomputed per call
-// otherwise. A memo-cold Run pays the hash on every lookup, so
-// stamping matters in sweep loops.
-func (w *Workstation) Fingerprint() uint64 {
-	if w.fp != 0 {
-		return w.fp
-	}
-	return w.computeFingerprint()
-}
+// Fingerprint returns the configuration fingerprint (the timing-memo
+// key component).
+func (w *Workstation) Fingerprint() uint64 { return w.fp }
 
 // computeFingerprint hashes the model parameters (field by field — the
 // unexported memo pointer must not enter the hash), so memoized
@@ -240,89 +230,21 @@ func (w *Workstation) computeFingerprint() uint64 {
 
 // Clone returns a fresh workstation with the same parameters, a cold
 // timing memo and a cold compiled-trace cache.
-func (w *Workstation) Clone() target.Target {
-	c := *w
-	c.memo = target.NewMemo()
-	if w.progs != nil {
-		c.progs = &target.FPCache[*wsTiming]{}
-	}
-	return &c
-}
+func (w *Workstation) Clone() target.Target { return newWorkstation(*w) }
 
 // CacheStats returns the workstation's timing-memo counters.
-func (w *Workstation) CacheStats() target.CacheStats {
-	if w.memo == nil {
-		return target.CacheStats{}
-	}
-	return w.memo.Stats()
-}
+func (w *Workstation) CacheStats() target.CacheStats { return w.memo.Stats() }
 
-// Run executes a trace on the workstation model. opts.Procs is ignored
-// (the Table 1 comparisons are single-processor). Memo misses execute
-// the compiled trace when the compiled path is enabled; results are
-// bit-identical to the interpreted engine either way.
-func (w *Workstation) Run(p prog.Program, opts sx4.RunOpts) sx4.Result {
-	if w.memo == nil && w.progs == nil {
-		return w.simulate(p)
+// Run executes a compiled trace on the workstation model. opts.Procs
+// is ignored (the Table 1 comparisons are single-processor).
+func (w *Workstation) Run(c *prog.Compiled, opts sx4.RunOpts) sx4.Result {
+	k := target.MemoKey{Config: w.fp, Program: c.Fingerprint, Opts: opts}
+	if r, ok := w.memo.Lookup(k); ok {
+		return r
 	}
-	fp := p.Fingerprint()
-	var k target.MemoKey
-	if w.memo != nil {
-		k = target.MemoKey{Config: w.Fingerprint(), Program: fp, Opts: opts}
-		if r, ok := w.memo.Lookup(k); ok {
-			return r
-		}
-	}
-	var r sx4.Result
-	if w.progs != nil {
-		ct := w.progs.LoadOrStore(fp, func() *wsTiming {
-			return w.compile(prog.MustCompile(p))
-		})
-		r = ct.result()
-	} else {
-		r = w.simulate(p)
-	}
-	if w.memo != nil {
-		w.memo.Store(k, r)
-	}
+	r := w.progs.LoadOrStore(c.Fingerprint, func() *wsTiming { return w.compile(c) }).result()
+	w.memo.Store(k, r)
 	return r
-}
-
-// RunCompiled is Run for a pre-flattened trace: c carries its
-// fingerprint, so the memo and compiled-timing caches are keyed
-// without re-hashing the program structure on every call. Results are
-// bit-identical to Run on the source program.
-func (w *Workstation) RunCompiled(c *prog.Compiled, opts sx4.RunOpts) sx4.Result {
-	var k target.MemoKey
-	if w.memo != nil {
-		k = target.MemoKey{Config: w.Fingerprint(), Program: c.Fingerprint, Opts: opts}
-		if r, ok := w.memo.Lookup(k); ok {
-			return r
-		}
-	}
-	var r sx4.Result
-	if w.progs != nil {
-		r = w.progs.LoadOrStore(c.Fingerprint, func() *wsTiming { return w.compile(c) }).result()
-	} else {
-		r = w.compile(c).result()
-	}
-	if w.memo != nil {
-		w.memo.Store(k, r)
-	}
-	return r
-}
-
-// SetCompiled enables or disables the compiled-trace execution path
-// (enabled for the registered constructors; the zero value starts
-// disabled). Must not race with concurrent Run calls.
-func (w *Workstation) SetCompiled(enabled bool) {
-	if enabled {
-		if w.progs == nil {
-			w.progs = &target.FPCache[*wsTiming]{}
-		}
-		return
-	}
-	w.progs = nil
 }
 
 // wsTiming is a program compiled against the workstation model: the
@@ -352,7 +274,7 @@ func (t *wsTiming) result() sx4.Result {
 	return r
 }
 
-// compile evaluates the flattened trace once, mirroring simulate
+// compile evaluates the flattened trace once, mirroring Interpret
 // operation for operation so compiled results are bit-identical.
 func (w *Workstation) compile(c *prog.Compiled) *wsTiming {
 	t := &wsTiming{name: c.Name}
@@ -375,10 +297,12 @@ func (w *Workstation) compile(c *prog.Compiled) *wsTiming {
 	return t
 }
 
-// simulate evaluates the model by interpreting the trace, consulting
-// neither the memo nor the compiled-trace cache: the differential
-// oracle the compiled path is checked against.
-func (w *Workstation) simulate(p prog.Program) sx4.Result {
+// Interpret evaluates the model by walking the source trace op by op,
+// consulting neither the memo nor the compiled-trace cache. It is not
+// a Target entry point: it is the differential oracle Run is checked
+// against and the interpreted ablation of ncar.Sweep. opts is ignored,
+// as in Run. It panics on an invalid program, like prog.MustCompile.
+func (w *Workstation) Interpret(p prog.Program, opts sx4.RunOpts) sx4.Result {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func radabsMFLOPS(t Target) float64 {
 	p := radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels)
-	r := t.Run(p, sx4.RunOpts{Procs: 1})
+	r := t.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1})
 	return r.MFLOPS()
 }
 
@@ -56,7 +56,7 @@ func TestSX4OutrunsYMPOnRADABS(t *testing.T) {
 	// about 4.9x one Y-MP processor.
 	sx := sx4.New(sx4.BenchmarkedSingleCPU())
 	p := radabs.Trace(radabs.BenchmarkColumns, radabs.DefaultLevels)
-	sxMF := sx.Run(p, sx4.RunOpts{Procs: 1}).MFLOPS()
+	sxMF := sx.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1}).MFLOPS()
 	ympMF := radabsMFLOPS(CrayYMP())
 	ratio := sxMF / ympMF
 	if ratio < 3.5 || ratio > 6.5 {
@@ -74,8 +74,8 @@ func TestWorkstationCacheEffect(t *testing.T) {
 	big := prog.Simple("big", 1,
 		prog.Op{Class: prog.VLoad, VL: 1_000_000, Stride: 1},
 		prog.Op{Class: prog.VStore, VL: 1_000_000, Stride: 1})
-	sRate := float64(small.Words()) / w.Run(small, sx4.RunOpts{}).Seconds
-	bRate := float64(big.Words()) / w.Run(big, sx4.RunOpts{}).Seconds
+	sRate := float64(small.Words()) / w.Run(prog.MustCompile(small), sx4.RunOpts{}).Seconds
+	bRate := float64(big.Words()) / w.Run(prog.MustCompile(big), sx4.RunOpts{}).Seconds
 	if sRate < 3*bRate {
 		t.Errorf("in-cache rate %.3g should be >=3x out-of-cache %.3g", sRate, bRate)
 	}
@@ -87,8 +87,8 @@ func TestWorkstationGatherPenaltyOnlyBeyondCache(t *testing.T) {
 		prog.Op{Class: prog.VLoad, VL: 1 << 20, Stride: 1})
 	gather := prog.Simple("gather", 1,
 		prog.Op{Class: prog.VGather, VL: 1 << 20})
-	tl := w.Run(load, sx4.RunOpts{}).Seconds
-	tg := w.Run(gather, sx4.RunOpts{}).Seconds
+	tl := w.Run(prog.MustCompile(load), sx4.RunOpts{}).Seconds
+	tg := w.Run(prog.MustCompile(gather), sx4.RunOpts{}).Seconds
 	if tg <= tl {
 		t.Errorf("out-of-cache gather (%.3g) should cost more than a streaming load (%.3g)", tg, tl)
 	}
@@ -100,8 +100,8 @@ func TestCodingStyleGapIsAVectorMachinePhenomenon(t *testing.T) {
 	// nearly immaterial on a cache workstation running the same
 	// transforms.
 	n, m := 256, 500
-	rfft := fftpack.RFFTTrace(n, m)
-	vfft := fftpack.VFFTTrace(n, m)
+	rfft := prog.MustCompile(fftpack.RFFTTrace(n, m))
+	vfft := prog.MustCompile(fftpack.VFFTTrace(n, m))
 
 	ws := IBMRS6000590()
 	wsRatio := ws.Run(rfft, sx4.RunOpts{}).Seconds / ws.Run(vfft, sx4.RunOpts{}).Seconds
@@ -171,7 +171,7 @@ func TestScalarProfiles(t *testing.T) {
 func TestWorkstationScalarOps(t *testing.T) {
 	w := SunSparc20()
 	p := prog.Simple("s", 100, prog.Op{Class: prog.Scalar, Count: 120})
-	r := w.Run(p, sx4.RunOpts{})
+	r := w.Run(prog.MustCompile(p), sx4.RunOpts{})
 	if r.Clocks < 100*100 {
 		t.Errorf("scalar work undercharged: %v clocks", r.Clocks)
 	}

@@ -152,13 +152,13 @@ func phaseClass(name string) float64 {
 // the trace is a pure function of the configuration.
 var stepTraces target.TraceCache[Config]
 
-func compiledStepTrace(cfg Config) target.CompiledTrace {
+func compiledStepTrace(cfg Config) *prog.Compiled {
 	return stepTraces.Get(cfg, func() prog.Program { return StepTrace(cfg) })
 }
 
 // StepSeconds models one high-resolution step on procs CPUs.
 func StepSeconds(m target.Target, cfg Config, procs int) float64 {
-	r := compiledStepTrace(cfg).Run(m, target.RunOpts{Procs: 1})
+	r := m.Run(compiledStepTrace(cfg), target.RunOpts{Procs: 1})
 	var clocks float64
 	for _, ph := range r.Phases {
 		alpha := phaseClass(ph.Name)
@@ -168,7 +168,7 @@ func StepSeconds(m target.Target, cfg Config, procs int) float64 {
 }
 
 // StepFlops returns the credited flops of one step.
-func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Compiled.Flops }
+func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Flops }
 
 // Benchmark350 models the Table 7 measurement: the time for 350 time
 // steps (the paper differences a 390-step and a 40-step run to remove

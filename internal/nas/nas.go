@@ -77,7 +77,7 @@ func EPTrace(n int) prog.Program {
 
 // EPMFLOPS models the EP kernel's rate on a machine.
 func EPMFLOPS(m target.Target, n int) float64 {
-	r := m.Run(EPTrace(n), target.RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(EPTrace(n)), target.RunOpts{Procs: 1})
 	return r.MFLOPS()
 }
 
@@ -112,6 +112,6 @@ func MGTrace(n int) prog.Program {
 
 // EPMFLOPS and MGMFLOPS model the kernels' rates on a machine.
 func MGMFLOPS(m target.Target, n int) float64 {
-	r := m.Run(MGTrace(n), target.RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(MGTrace(n)), target.RunOpts{Procs: 1})
 	return r.MFLOPS()
 }

@@ -23,6 +23,7 @@ import (
 	"sx4bench/internal/prodload"
 	"sx4bench/internal/radabs"
 	"sx4bench/internal/sx4/iop"
+	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
 
@@ -123,7 +124,7 @@ func Table1() core.Table {
 	p := radabsTrace(radabs.BenchmarkColumns, radabs.DefaultLevels)
 	for _, tgt := range targets {
 		hintRow = append(hintRow, fmt.Sprintf("%.1f", hint.ModelMQUIPS(tgt.Scalar())))
-		r := p.Run(tgt, target.RunOpts{Procs: 1})
+		r := tgt.Run(p, target.RunOpts{Procs: 1})
 		radRow = append(radRow, fmt.Sprintf("%.1f", r.MFLOPS()))
 	}
 	t.Rows = [][]string{hintRow, radRow}
@@ -161,7 +162,7 @@ func Table3(m target.Target) core.Table {
 	const n = 1 << 20
 	row := []string{"Mcalls/s"}
 	for _, fn := range elefunt.Functions {
-		r := m.Run(elefunt.PerfTrace(fn, n), target.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(elefunt.PerfTrace(fn, n)), target.RunOpts{Procs: 1})
 		row = append(row, fmt.Sprintf("%.1f", float64(elefunt.PerfCalls(n))/r.Seconds/1e6))
 	}
 	t.Rows = [][]string{row}
@@ -255,21 +256,21 @@ func Fig5(m target.Target, perDecade int) core.Figure {
 	copyKs := kernels.CopySweep(perDecade)
 	copySeries := sweepPoints(m, len(copyKs), noise, 0, func(i int, s *core.Noise) core.Point {
 		k := copyKs[i]
-		meas := core.RunCompiled(m, copyTrace(k), target.RunOpts{Procs: 1}, 20, s, k.PayloadBytes())
+		meas := core.Run(m, copyTrace(k), target.RunOpts{Procs: 1}, 20, s, k.PayloadBytes())
 		return core.Point{X: float64(k.N), Y: meas.MBps()}
 	})
 	copySeries.Label = "COPY"
 	iaKs := kernels.IASweep(perDecade)
 	iaSeries := sweepPoints(m, len(iaKs), noise, 1000, func(i int, s *core.Noise) core.Point {
 		k := iaKs[i]
-		meas := core.RunCompiled(m, iaTrace(k), target.RunOpts{Procs: 1}, 20, s, k.PayloadBytes())
+		meas := core.Run(m, iaTrace(k), target.RunOpts{Procs: 1}, 20, s, k.PayloadBytes())
 		return core.Point{X: float64(k.N), Y: meas.MBps()}
 	})
 	iaSeries.Label = "IA"
 	xpKs := kernels.XposeSweep(perDecade)
 	xpSeries := sweepPoints(m, len(xpKs), noise, 2000, func(i int, s *core.Noise) core.Point {
 		k := xpKs[i]
-		meas := core.RunCompiled(m, xposeTrace(k), target.RunOpts{Procs: 1}, 20, s, k.PayloadBytes())
+		meas := core.Run(m, xposeTrace(k), target.RunOpts{Procs: 1}, 20, s, k.PayloadBytes())
 		return core.Point{X: float64(k.N), Y: meas.MBps()}
 	})
 	xpSeries.Label = "XPOSE"
@@ -292,7 +293,7 @@ func Fig6(m target.Target) core.Figure {
 		s := sweepPoints(m, len(lengths), noise, int64(1000*fi), func(i int, st *core.Noise) core.Point {
 			n := lengths[i]
 			mm := fftpack.RFFTInstances(n)
-			meas := core.RunCompiled(m, rfftTrace(n, mm), target.RunOpts{Procs: 1}, 20, st, 0)
+			meas := core.Run(m, rfftTrace(n, mm), target.RunOpts{Procs: 1}, 20, st, 0)
 			return core.Point{X: float64(n), Y: fftpack.NominalMFLOPS(n, mm, meas.Seconds)}
 		})
 		s.Label = fam
@@ -316,7 +317,7 @@ func Fig7(m target.Target) core.Figure {
 		lengths := vfftLengths[fam]
 		s := sweepPoints(m, len(lengths), noise, int64(1000*fi), func(i int, st *core.Noise) core.Point {
 			n := lengths[i]
-			meas := core.RunCompiled(m, vfftTrace(n, 500), target.RunOpts{Procs: 1}, 5, st, 0)
+			meas := core.Run(m, vfftTrace(n, 500), target.RunOpts{Procs: 1}, 5, st, 0)
 			return core.Point{X: float64(n), Y: fftpack.NominalMFLOPS(n, 500, meas.Seconds)}
 		})
 		s.Label = fam + " (M=500)"
@@ -324,7 +325,7 @@ func Fig7(m target.Target) core.Figure {
 	}
 	sweep := sweepPoints(m, len(fftpack.VFFTInstanceCounts), noise, 3000, func(i int, st *core.Noise) core.Point {
 		mm := fftpack.VFFTInstanceCounts[i]
-		meas := core.RunCompiled(m, vfftTrace(256, mm), target.RunOpts{Procs: 1}, 5, st, 0)
+		meas := core.Run(m, vfftTrace(256, mm), target.RunOpts{Procs: 1}, 5, st, 0)
 		return core.Point{X: float64(mm), Y: fftpack.NominalMFLOPS(256, mm, meas.Seconds)}
 	})
 	sweep.Label = "N=256, M sweep"
@@ -357,7 +358,7 @@ func Fig8(m target.Target) core.Figure {
 // RADABSMFlops returns the single-CPU RADABS rate (paper: 865.9).
 func RADABSMFlops(m target.Target) float64 {
 	p := radabsTrace(radabs.BenchmarkColumns, radabs.DefaultLevels)
-	return p.Run(m, target.RunOpts{Procs: 1}).MFLOPS()
+	return m.Run(p, target.RunOpts{Procs: 1}).MFLOPS()
 }
 
 // POPMFlops returns the single-CPU 2-degree POP rate (paper: 537).

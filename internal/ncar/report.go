@@ -204,7 +204,7 @@ func ProfileTable(m target.Target, resName string, procs int) (core.Table, error
 	if err != nil {
 		return core.Table{}, err
 	}
-	r := ccm2.CompiledStepTrace(res).Run(m, target.RunOpts{Procs: procs, ActiveCPUs: procs})
+	r := m.Run(ccm2.CompiledStepTrace(res), target.RunOpts{Procs: procs, ActiveCPUs: procs})
 	t := core.Table{
 		ID:      "profile-" + resName,
 		Title:   fmt.Sprintf("CCM2 %s step profile on %d CPUs", resName, procs),

@@ -28,11 +28,11 @@ import (
 type SweepScenario struct {
 	// Machine is the registry name (target.All order).
 	Machine string
-	// Trace is the operation trace to time.
+	// Trace is the source operation trace: what the interpreted
+	// ablation walks.
 	Trace prog.Program
-	// Compiled is the trace's pre-flattened form, shared by every
-	// scenario over the same trace; targets implementing
-	// target.CompiledRunner execute it directly.
+	// Compiled is the trace's compiled form, shared by every scenario
+	// over the same trace: what Target.Run executes.
 	Compiled *prog.Compiled
 	// Opts is the processor allocation. Values beyond the machine's
 	// CPU count clamp inside Run, as everywhere else.
@@ -157,14 +157,22 @@ type SweepResult struct {
 // dominate at high worker counts.
 const sweepGrain = 64
 
+// interpreter is the differential oracle every engine keeps beside its
+// Target entry point (sx4.Machine.Interpret, and through it
+// machine.Vector, and machine.Workstation.Interpret): the trace walked
+// op by op, with no timing memo and no compiled-trace cache.
+type interpreter interface {
+	Interpret(p prog.Program, opts target.RunOpts) target.Result
+}
+
 // Sweep executes the scenarios memo-cold and returns the deterministic
 // summary. Each call constructs fresh machine instances (cold timing
 // memos); one instance per machine name is shared by all workers, so
 // the run exercises the memo and the compiled-trace cache under real
 // contention. workers follows the sched convention (0 = GOMAXPROCS,
-// 1 = serial). compiled false disables the compiled-trace path on
-// every machine that has one — the ablation baseline; the summary is
-// bit-identical either way.
+// 1 = serial). compiled false runs every scenario through its
+// machine's interpreter instead of Run — the ablation baseline, which
+// also skips the timing memo; the summary is bit-identical either way.
 func Sweep(scenarios []SweepScenario, workers int, compiled bool) (SweepResult, error) {
 	insts := make(map[string]target.Target)
 	for _, s := range scenarios {
@@ -175,10 +183,8 @@ func Sweep(scenarios []SweepScenario, workers int, compiled bool) (SweepResult, 
 		if err != nil {
 			return SweepResult{}, fmt.Errorf("ncar: sweep: %w", err)
 		}
-		if !compiled {
-			if cs, ok := t.(target.CompiledSwitcher); ok {
-				cs.SetCompiled(false)
-			}
+		if _, ok := t.(interpreter); !ok && !compiled {
+			return SweepResult{}, fmt.Errorf("ncar: sweep: %s has no interpreter", s.Machine)
 		}
 		insts[s.Machine] = t
 	}
@@ -189,12 +195,10 @@ func Sweep(scenarios []SweepScenario, workers int, compiled bool) (SweepResult, 
 		s := &scenarios[i]
 		t := insts[s.Machine]
 		var r target.Result
-		// The compiled entry point skips per-op fingerprint hashing;
-		// the ablation takes the classic Run path end to end.
-		if cr, ok := t.(target.CompiledRunner); ok && compiled && s.Compiled != nil {
-			r = cr.RunCompiled(s.Compiled, s.Opts)
+		if compiled {
+			r = t.Run(s.Compiled, s.Opts)
 		} else {
-			r = t.Run(s.Trace, s.Opts)
+			r = t.(interpreter).Interpret(s.Trace, s.Opts)
 		}
 		clocks[i] = r.Clocks
 		flops[i] = r.Flops

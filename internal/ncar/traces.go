@@ -12,13 +12,13 @@ import (
 )
 
 // sharedTargets holds one live instance per registry name for the
-// read-only table renderers. Every Run entry point is safe for
-// concurrent use (sharded memo, first-store-wins compiled caches), so
-// re-rendering a table warms one timing memo instead of rebuilding
-// each machine — and recompiling its traces — per call. Drivers that
-// reconfigure a target (SetCompiled, SetCache) must keep using
-// target.Lookup for a private instance; fault degradation is fine
-// here, since Degraded returns a new machine.
+// read-only table renderers. Run is safe for concurrent use (sharded
+// memo, first-store-wins compiled caches), so re-rendering a table
+// warms one timing memo instead of rebuilding each machine — and
+// recompiling its traces — per call. Drivers that need cold memos
+// (the cold sweep) must keep using target.Lookup for a private
+// instance; fault degradation is fine here, since Degraded returns a
+// new machine.
 var sharedTargets sync.Map // registry name -> target.Target
 
 func sharedTarget(name string) (target.Target, error) {
@@ -47,10 +47,9 @@ func mustSharedTarget(name string) target.Target {
 // drivers revisit: the figure sweeps, the cross-machine table, the
 // resilient runner and the scalar anchors all re-time the same trace
 // shapes (per point, machine and KTRIES draw), and each trace is a
-// pure function of its shape parameters. Cached compiled traces run
-// through the targets' CompiledRunner fast path, skipping per-run
-// trace construction and fingerprint hashing; the results are
-// bit-identical to the interpreted entry.
+// pure function of its shape parameters. Caching the compiled form
+// skips per-run trace construction, validation and fingerprint
+// hashing.
 var benchTraces target.TraceCache[traceKey]
 
 // traceKey identifies a cached trace by family and shape.
@@ -59,27 +58,27 @@ type traceKey struct {
 	n, m int
 }
 
-func copyTrace(k kernels.Copy) target.CompiledTrace {
+func copyTrace(k kernels.Copy) *prog.Compiled {
 	return benchTraces.Get(traceKey{"copy", k.N, k.M}, func() prog.Program { return k.Trace() })
 }
 
-func iaTrace(k kernels.IA) target.CompiledTrace {
+func iaTrace(k kernels.IA) *prog.Compiled {
 	return benchTraces.Get(traceKey{"ia", k.N, k.M}, func() prog.Program { return k.Trace() })
 }
 
-func xposeTrace(k kernels.Xpose) target.CompiledTrace {
+func xposeTrace(k kernels.Xpose) *prog.Compiled {
 	return benchTraces.Get(traceKey{"xpose", k.N, k.M}, func() prog.Program { return k.Trace() })
 }
 
-func rfftTrace(n, m int) target.CompiledTrace {
+func rfftTrace(n, m int) *prog.Compiled {
 	return benchTraces.Get(traceKey{"rfft", n, m}, func() prog.Program { return fftpack.RFFTTrace(n, m) })
 }
 
-func vfftTrace(n, m int) target.CompiledTrace {
+func vfftTrace(n, m int) *prog.Compiled {
 	return benchTraces.Get(traceKey{"vfft", n, m}, func() prog.Program { return fftpack.VFFTTrace(n, m) })
 }
 
-func radabsTrace(ncol, nlev int) target.CompiledTrace {
+func radabsTrace(ncol, nlev int) *prog.Compiled {
 	return benchTraces.Get(traceKey{"radabs", ncol, nlev}, func() prog.Program { return radabs.Trace(ncol, nlev) })
 }
 
@@ -87,6 +86,6 @@ func radabsTrace(ncol, nlev int) target.CompiledTrace {
 // alias hand-built configs that share one).
 var popTraces target.TraceCache[pop.Config]
 
-func popTrace(cfg pop.Config) target.CompiledTrace {
+func popTrace(cfg pop.Config) *prog.Compiled {
 	return popTraces.Get(cfg, func() prog.Program { return pop.StepTrace(cfg) })
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sx4bench/internal/sx4"
+	"sx4bench/internal/sx4/prog"
 )
 
 // small returns a cheap host configuration.
@@ -158,7 +159,7 @@ func TestPaper537MFLOPS(t *testing.T) {
 
 func TestCSHIFTDominatesStep(t *testing.T) {
 	m := sx4.New(sx4.Benchmarked())
-	r := m.Run(StepTrace(TwoDegree), sx4.RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(StepTrace(TwoDegree)), sx4.RunOpts{Procs: 1})
 	var cshift, arith float64
 	for _, ph := range r.Phases {
 		switch ph.Name {

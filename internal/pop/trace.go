@@ -105,17 +105,17 @@ func StepTrace(cfg Config) prog.Program {
 // must never reach a shared copy.
 var stepTraces target.TraceCache[Config]
 
-func compiledStepTrace(cfg Config) target.CompiledTrace {
+func compiledStepTrace(cfg Config) *prog.Compiled {
 	return stepTraces.Get(cfg, func() prog.Program { return StepTrace(cfg) })
 }
 
 // StepFlops returns the credited flops per step.
-func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Compiled.Flops }
+func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Flops }
 
 // SustainedMFLOPS returns the single-processor rate of the 2-degree
 // benchmark — the paper's 537 MFLOPS observation.
 func SustainedMFLOPS(m target.Target) float64 {
-	r := compiledStepTrace(TwoDegree).Run(m, target.RunOpts{Procs: 1})
+	r := m.Run(compiledStepTrace(TwoDegree), target.RunOpts{Procs: 1})
 	return r.MFLOPS()
 }
 
@@ -123,7 +123,7 @@ func SustainedMFLOPS(m target.Target) float64 {
 // CSHIFT vectorized (as a strided vector copy), how much faster would
 // the step run?
 func VectorizedCSHIFTSpeedup(m target.Target) float64 {
-	base := m.Run(StepTrace(TwoDegree), target.RunOpts{Procs: 1}).Seconds
+	base := m.Run(compiledStepTrace(TwoDegree), target.RunOpts{Procs: 1}).Seconds
 
 	fixed := StepTrace(TwoDegree)
 	n := TwoDegree.NLon * TwoDegree.NLat
@@ -131,6 +131,6 @@ func VectorizedCSHIFTSpeedup(m target.Target) float64 {
 		{Class: prog.VLoad, VL: n, Stride: 1},
 		{Class: prog.VStore, VL: n, Stride: 1},
 	}
-	improved := m.Run(fixed, target.RunOpts{Procs: 1}).Seconds
+	improved := m.Run(prog.MustCompile(fixed), target.RunOpts{Procs: 1}).Seconds
 	return base / improved
 }

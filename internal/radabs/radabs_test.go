@@ -148,7 +148,7 @@ func TestSX4Calibration(t *testing.T) {
 	// one CPU of the benchmarked SX-4. The model must land in band.
 	m := sx4.New(sx4.BenchmarkedSingleCPU())
 	p := Trace(BenchmarkColumns, DefaultLevels)
-	r := m.Run(p, sx4.RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1})
 	mf := r.MFLOPS()
 	if mf < 780 || mf > 950 {
 		t.Errorf("SX-4/1 RADABS = %.1f MFLOPS, want within [780, 950] (paper: 865.9)", mf)
@@ -160,8 +160,8 @@ func TestEmbarrassinglyParallel(t *testing.T) {
 	// should speed it up nearly 32x.
 	m := sx4.New(sx4.Benchmarked())
 	p := Trace(BenchmarkColumns, DefaultLevels)
-	t1 := m.Run(p, sx4.RunOpts{Procs: 1}).Seconds
-	t32 := m.Run(p, sx4.RunOpts{Procs: 32}).Seconds
+	t1 := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 1}).Seconds
+	t32 := m.Run(prog.MustCompile(p), sx4.RunOpts{Procs: 32}).Seconds
 	if s := t1 / t32; s < 25 || s > 32.1 {
 		t.Errorf("32-CPU RADABS speedup = %.1f, want within [25, 32]", s)
 	}

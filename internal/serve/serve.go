@@ -334,6 +334,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r.Context())
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Answers stream while request lines are still arriving. HTTP/1
+	// otherwise closes an unread request body at the first response
+	// write, cutting a batch off after its first few kilobytes. A
+	// writer that cannot go full duplex (a test recorder) has the
+	// whole body in hand anyway.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	flusher, _ := w.(http.Flusher)
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	sc.Buffer(make([]byte, 0, 64*1024), int(s.cfg.MaxBodyBytes))

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -216,6 +218,43 @@ func TestSweep(t *testing.T) {
 	}
 	if st.RunsExecuted != 1 || st.CacheHits != 1 || st.Errors != 1 {
 		t.Fatalf("stats = %+v, want 1 executed, 1 hit, 1 error", st)
+	}
+}
+
+// TestSweepOverHTTPReadsWholeBody drives a sweep through a real HTTP/1
+// server: answers stream back while the request body is still being
+// read, and every one of a 400-line batch (far past the first few
+// kilobytes) must be answered, with no truncation error line.
+func TestSweepOverHTTPReadsWholeBody(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	const n = 400
+	var body strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&body, "{\"machine\":\"sparc20\",\"benchmarks\":[\"COPY\"],\"workers\":%d}\n", 1+i%4)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/x-ndjson", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lines := 0
+	for sc.Scan() {
+		lines++
+		if strings.Contains(sc.Text(), `"error"`) {
+			t.Errorf("answer line %d is an error: %s", lines, sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines != n {
+		t.Fatalf("got %d answer lines, want %d", lines, n)
 	}
 }
 

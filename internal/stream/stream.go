@@ -106,7 +106,7 @@ type Result struct {
 func Run(m target.Target) []Result {
 	out := make([]Result, 0, 4)
 	for _, k := range Kernels {
-		r := m.Run(Trace(k, DefaultN), target.RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(Trace(k, DefaultN)), target.RunOpts{Procs: 1})
 		out = append(out, Result{Kernel: k, MBps: float64(bytesMoved(k, DefaultN)) / r.Seconds / 1e6})
 	}
 	return out

@@ -34,47 +34,18 @@ func configFingerprint(cfg Config) uint64 {
 // a result simulated under a different configuration. An invalid cfg is
 // returned as an error and leaves the machine unchanged.
 //
-// Like SetCache, SetConfig must not race with concurrent Run calls:
-// configure first, then share.
+// SetConfig must not race with concurrent Run calls: configure first,
+// then share.
 func (m *Machine) SetConfig(cfg Config) error {
 	if err := m.setConfig(cfg); err != nil {
 		return err
 	}
-	if m.cache != nil {
-		m.cache.DropStale(m.fingerprint)
-	}
+	m.cache.DropStale(m.fingerprint)
 	// Compiled trace timings are configuration-dependent (trip costs,
 	// stride factors, loop overhead); none survive a reconfiguration.
-	if m.progs != nil {
-		m.progs.Clear()
-	}
+	m.progs.Clear()
 	return nil
 }
 
-// SetCache enables or disables timing memoization (enabled by default).
-// Disabling also drops any cached entries; the counters persist.
-// Re-enabling over a live cache keeps entries keyed on the machine's
-// current config fingerprint and sweeps out any stale ones, so a warm
-// cache stays coherent across reconfiguration (the SetConfig /
-// SetCache(true) sequence in either order).
-func (m *Machine) SetCache(enabled bool) {
-	if enabled {
-		if m.cache == nil {
-			m.cache = target.NewMemo()
-			return
-		}
-		m.cache.DropStale(m.fingerprint)
-		return
-	}
-	m.cache = nil
-}
-
-// CacheStats returns the machine's timing-cache counters. A machine
-// with caching disabled reports zeros.
-func (m *Machine) CacheStats() CacheStats {
-	if m.cache == nil {
-		return CacheStats{}
-	}
-	return m.cache.Stats()
-}
-
+// CacheStats returns the machine's timing-cache counters.
+func (m *Machine) CacheStats() CacheStats { return m.cache.Stats() }

@@ -17,24 +17,23 @@ func cacheTestProgram(vl int) prog.Program {
 }
 
 // TestCacheMatchesFreshSimulation is the memo-correctness contract: a
-// cached timing must equal a fresh simulation exactly, field for field.
+// cached timing must equal the interpreter's exactly, field for field.
 func TestCacheMatchesFreshSimulation(t *testing.T) {
 	m := New(Benchmarked())
-	fresh := New(Benchmarked())
-	fresh.SetCache(false)
 
 	opts := []RunOpts{{Procs: 1}, {Procs: 8}, {Procs: 4, ActiveCPUs: 32}}
 	for _, vl := range []int{1, 100, 256, 4096} {
 		p := cacheTestProgram(vl)
+		c := prog.MustCompile(p)
 		for _, o := range opts {
-			first := m.Run(p, o)  // miss: simulate + store
-			second := m.Run(p, o) // hit: served from memo
-			direct := fresh.Run(p, o)
+			first := m.Run(c, o)  // miss: simulate + store
+			second := m.Run(c, o) // hit: served from memo
+			direct := m.Interpret(p, o)
 			if !reflect.DeepEqual(first, direct) {
-				t.Fatalf("vl=%d opts=%+v: first cached run != uncached simulation", vl, o)
+				t.Fatalf("vl=%d opts=%+v: first cached run != interpreted simulation", vl, o)
 			}
 			if !reflect.DeepEqual(second, direct) {
-				t.Fatalf("vl=%d opts=%+v: memoized result != uncached simulation", vl, o)
+				t.Fatalf("vl=%d opts=%+v: memoized result != interpreted simulation", vl, o)
 			}
 		}
 	}
@@ -45,18 +44,15 @@ func TestCacheMatchesFreshSimulation(t *testing.T) {
 	if stats.Misses != 12 { // 4 lengths x 3 opts distinct keys
 		t.Errorf("misses = %d, want 12 distinct keys", stats.Misses)
 	}
-	if fresh.CacheStats() != (CacheStats{}) {
-		t.Errorf("disabled cache reports %+v", fresh.CacheStats())
-	}
 }
 
 // TestCacheKeyDiscriminates: different programs, opts, or configs must
 // not collide.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	m := New(Benchmarked())
-	a := m.Run(cacheTestProgram(100), RunOpts{Procs: 1})
-	b := m.Run(cacheTestProgram(200), RunOpts{Procs: 1})
-	c := m.Run(cacheTestProgram(100), RunOpts{Procs: 2})
+	a := m.Run(prog.MustCompile(cacheTestProgram(100)), RunOpts{Procs: 1})
+	b := m.Run(prog.MustCompile(cacheTestProgram(200)), RunOpts{Procs: 1})
+	c := m.Run(prog.MustCompile(cacheTestProgram(100)), RunOpts{Procs: 2})
 	if a.Clocks == b.Clocks {
 		t.Error("different programs timed identically (suspicious collision)")
 	}
@@ -67,7 +63,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	slow := Benchmarked()
 	slow.ClockNS = 16.0
 	m2 := New(slow)
-	d := m2.Run(cacheTestProgram(100), RunOpts{Procs: 1})
+	d := m2.Run(prog.MustCompile(cacheTestProgram(100)), RunOpts{Procs: 1})
 	if a.Seconds == d.Seconds {
 		t.Error("different configs timed identically")
 	}
@@ -77,7 +73,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 // under -race this is the engine-safety test.
 func TestCacheConcurrent(t *testing.T) {
 	m := New(Benchmarked())
-	want := m.Run(cacheTestProgram(256), RunOpts{Procs: 1})
+	want := m.Run(prog.MustCompile(cacheTestProgram(256)), RunOpts{Procs: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -86,7 +82,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				vl := 1 + (g*50+i)%7*64
 				p := cacheTestProgram(vl)
-				r := m.Run(p, RunOpts{Procs: 1})
+				r := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 				if r.Clocks <= 0 {
 					t.Errorf("non-positive clocks for vl=%d", vl)
 					return
@@ -95,7 +91,7 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	again := m.Run(cacheTestProgram(256), RunOpts{Procs: 1})
+	again := m.Run(prog.MustCompile(cacheTestProgram(256)), RunOpts{Procs: 1})
 	if !reflect.DeepEqual(want, again) {
 		t.Error("concurrent use corrupted a cached result")
 	}
@@ -106,12 +102,12 @@ func TestCacheConcurrent(t *testing.T) {
 func TestCachedResultNotAliased(t *testing.T) {
 	m := New(Benchmarked())
 	p := cacheTestProgram(128)
-	r1 := m.Run(p, RunOpts{Procs: 1})
+	r1 := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 	if len(r1.Phases) == 0 {
 		t.Fatal("no phases")
 	}
 	r1.Phases[0].Clocks = -1
-	r2 := m.Run(p, RunOpts{Procs: 1})
+	r2 := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 	if r2.Phases[0].Clocks == -1 {
 		t.Error("cached Phases slice aliased to caller's copy")
 	}

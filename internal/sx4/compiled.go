@@ -1,9 +1,6 @@
 package sx4
 
-import (
-	"sx4bench/internal/sx4/prog"
-	"sx4bench/internal/target"
-)
+import "sx4bench/internal/sx4/prog"
 
 // The compiled execution path. prog.Compile flattens a Program into
 // contiguous phase/loop/op arrays once; compile below layers the
@@ -13,8 +10,8 @@ import (
 // walk over O(phases + loops) flat slices of precomputed floats — no
 // per-op switch, no stride-factor derivation, no re-validation — and
 // is bit-identical to the interpreted engine, which survives as the
-// differential oracle (SetCompiled(false), pinned by the metamorphic
-// suite in internal/check).
+// differential oracle (Machine.Interpret, pinned by the quickcheck
+// suites in internal/check).
 
 // loopTiming is one executable loop's configuration-dependent timing
 // invariant: everything phaseClocks derives per trip that does not
@@ -105,7 +102,7 @@ func (m *Machine) compile(c *prog.Compiled) *compiledProgram {
 }
 
 // runCompiled evaluates a compiled program. The arithmetic mirrors
-// simulate/phaseClocks operation for operation, so results are
+// Interpret/phaseClocks operation for operation, so results are
 // bit-identical to the interpreted path.
 func (m *Machine) runCompiled(cp *compiledProgram, opts RunOpts) Result {
 	procs := opts.Procs
@@ -176,64 +173,4 @@ func (m *Machine) phaseClocksCompiled(pt *PhaseTime, cp *compiledProgram, ph *ph
 			(m.cfg.BarrierBaseClocks + m.cfg.BarrierPerCPUClocks*float64(procs))
 	}
 	pt.Clocks += ph.serialClocks
-}
-
-// RunCompiled is Run for a pre-flattened trace: the sweep-loop fast
-// path. The Compiled form carries its fingerprint, so a run costs no
-// per-op hashing at all — Run spends most of a memo-cold call
-// re-hashing the trace structure for the cache key; RunCompiled reads
-// c.Fingerprint instead. Results are bit-identical to Run on the
-// source program (same memo key, same arithmetic), so the two entry
-// points share one memo transparently.
-func (m *Machine) RunCompiled(c *prog.Compiled, opts RunOpts) Result {
-	var k target.MemoKey
-	if m.cache != nil {
-		k = target.MemoKey{Config: m.fingerprint, Program: c.Fingerprint, Opts: opts}
-		if r, ok := m.cache.Lookup(k); ok {
-			return r
-		}
-	}
-	var r Result
-	if m.progs != nil {
-		cp := m.progs.LoadOrStore(c.Fingerprint, func() *compiledProgram { return m.compile(c) })
-		r = m.runCompiled(cp, opts)
-	} else {
-		// Compiled path disabled: still honor the pre-flattened trace
-		// (deriving the timing invariants per call, like simulate
-		// derives per-loop costs per call) — the ablation stays
-		// bit-identical without re-validating the source program.
-		r = m.runCompiled(m.compile(c), opts)
-	}
-	if m.cache != nil {
-		m.cache.Store(k, r)
-	}
-	return r
-}
-
-// SetCompiled enables or disables the compiled-trace execution path
-// (enabled by default). Disabling drops the compiled-trace cache and
-// routes every memo miss through the interpreted engine — the
-// ablation knob the differential tests and the cold-sweep baseline
-// benchmark use; reported numbers are bit-identical either way.
-//
-// Like SetCache and SetConfig, SetCompiled must not race with
-// concurrent Run calls: configure first, then share.
-func (m *Machine) SetCompiled(enabled bool) {
-	if enabled {
-		if m.progs == nil {
-			m.progs = &target.FPCache[*compiledProgram]{}
-		}
-		return
-	}
-	m.progs = nil
-}
-
-// CompiledTraces returns the number of traces currently held in the
-// machine's compiled-trace cache (zero when the compiled path is
-// disabled).
-func (m *Machine) CompiledTraces() int {
-	if m.progs == nil {
-		return 0
-	}
-	return m.progs.Len()
 }

@@ -43,7 +43,7 @@ func TestRunPanicsOnInvalidProgram(t *testing.T) {
 			t.Error("Run accepted an invalid program")
 		}
 	}()
-	m.Run(bad, RunOpts{Procs: 1})
+	m.Run(prog.MustCompile(bad), RunOpts{Procs: 1})
 }
 
 func TestIntrinsicScaleApplied(t *testing.T) {
@@ -52,7 +52,7 @@ func TestIntrinsicScaleApplied(t *testing.T) {
 	mSlow := New(slow)
 	mFast := New(Benchmarked())
 	p := prog.Simple("intr", 1, prog.Op{Class: prog.VIntrinsic, VL: 1 << 16, Intr: prog.Exp})
-	if mSlow.Run(p, RunOpts{Procs: 1}).Seconds <= mFast.Run(p, RunOpts{Procs: 1}).Seconds {
+	if mSlow.Run(prog.MustCompile(p), RunOpts{Procs: 1}).Seconds <= mFast.Run(prog.MustCompile(p), RunOpts{Procs: 1}).Seconds {
 		t.Error("IntrinsicScale=2 not slower")
 	}
 }
@@ -60,7 +60,7 @@ func TestIntrinsicScaleApplied(t *testing.T) {
 func TestLogicalPipeCharged(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	n := 1 << 18
-	base := m.Run(prog.Simple("l", 8, prog.Op{Class: prog.VLogical, VL: n}), RunOpts{Procs: 1})
+	base := m.Run(prog.MustCompile(prog.Simple("l", 8, prog.Op{Class: prog.VLogical, VL: n})), RunOpts{Procs: 1})
 	if base.Clocks <= 0 {
 		t.Error("logical ops free")
 	}
@@ -93,8 +93,8 @@ func TestStride2ConflictFreeEndToEnd(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	n := 1 << 18
 	mk := func(stride int) float64 {
-		return m.Run(prog.Simple("s", 8,
-			prog.Op{Class: prog.VLoad, VL: n, Stride: stride}), RunOpts{Procs: 1}).Seconds
+		return m.Run(prog.MustCompile(prog.Simple("s", 8,
+			prog.Op{Class: prog.VLoad, VL: n, Stride: stride})), RunOpts{Procs: 1}).Seconds
 	}
 	if mk(2) > mk(1)*1.0001 {
 		t.Error("stride-2 load slower than unit stride; guarantee broken")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sx4bench/internal/fault"
+	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
 
@@ -54,7 +55,7 @@ func TestDegradedConfig(t *testing.T) {
 
 func TestDegradedNeverFaster(t *testing.T) {
 	// Enough trips that losing CPUs changes the per-processor share.
-	prog := copyProgram(1<<16, 960)
+	trace := prog.MustCompile(copyProgram(1<<16, 960))
 	m := New(Benchmarked())
 	for _, tc := range []struct {
 		name string
@@ -75,8 +76,8 @@ func TestDegradedNeverFaster(t *testing.T) {
 			// to the surviving CPU count, so the degraded machine runs
 			// the same work on fewer, slower resources.
 			opts := RunOpts{Procs: m.Config().CPUs}
-			healthy := m.Run(prog, opts).Seconds
-			degraded := dt.Run(prog, opts).Seconds
+			healthy := m.Run(trace, opts).Seconds
+			degraded := dt.Run(trace, opts).Seconds
 			if degraded < healthy {
 				t.Errorf("degraded %gs faster than healthy %gs", degraded, healthy)
 			}

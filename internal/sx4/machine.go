@@ -54,10 +54,9 @@ type Machine struct {
 	intrinsic [prog.NumIntrinsics]float64 // clocks per element
 
 	fingerprint uint64       // configFingerprint(cfg), cache key part
-	cache       *target.Memo // memoized trace timings; nil disables
+	cache       *target.Memo // memoized trace timings
 	// progs caches compiled trace timings (see compiled.go) keyed by
-	// program fingerprint; nil routes runs through the interpreted
-	// engine.
+	// program fingerprint.
 	progs *target.FPCache[*compiledProgram]
 }
 
@@ -251,43 +250,28 @@ func (c tripCost) memBound() bool {
 		c.memBusy >= c.issue && c.memBusy >= c.intr && c.memBusy > 0
 }
 
-// Run simulates the program on the machine. Identical (program, opts)
-// pairs are served from the timing memo after the first evaluation;
-// memo misses execute the compiled trace (flattened once per program
-// fingerprint, see compiled.go) unless the compiled path is disabled,
-// in which case the interpreted engine below runs. All three routes
-// are bit-identical.
-func (m *Machine) Run(p prog.Program, opts RunOpts) Result {
-	if m.cache == nil && m.progs == nil {
-		return m.simulate(p, opts)
+// Run simulates the compiled trace on the machine. Identical (trace,
+// opts) pairs are served from the timing memo after the first
+// evaluation; misses walk the trace's machine-specific timing
+// invariants, derived once per trace fingerprint (see compiled.go).
+func (m *Machine) Run(c *prog.Compiled, opts RunOpts) Result {
+	k := target.MemoKey{Config: m.fingerprint, Program: c.Fingerprint, Opts: opts}
+	if r, ok := m.cache.Lookup(k); ok {
+		return r
 	}
-	fp := p.Fingerprint()
-	var k target.MemoKey
-	if m.cache != nil {
-		k = target.MemoKey{Config: m.fingerprint, Program: fp, Opts: opts}
-		if r, ok := m.cache.Lookup(k); ok {
-			return r
-		}
-	}
-	var r Result
-	if m.progs != nil {
-		cp := m.progs.LoadOrStore(fp, func() *compiledProgram {
-			return m.compile(prog.MustCompile(p))
-		})
-		r = m.runCompiled(cp, opts)
-	} else {
-		r = m.simulate(p, opts)
-	}
-	if m.cache != nil {
-		m.cache.Store(k, r)
-	}
+	cp := m.progs.LoadOrStore(c.Fingerprint, func() *compiledProgram { return m.compile(c) })
+	r := m.runCompiled(cp, opts)
+	m.cache.Store(k, r)
 	return r
 }
 
-// simulate evaluates the machine model by interpreting the trace,
-// consulting neither the memo nor the compiled-trace cache: the
-// differential oracle the compiled path is checked against.
-func (m *Machine) simulate(p prog.Program, opts RunOpts) Result {
+// Interpret evaluates the machine model by walking the source trace op
+// by op, consulting neither the timing memo nor the compiled-trace
+// cache. It is not a Target entry point: it is the differential oracle
+// Run is checked against (the quickcheck suites in internal/check and
+// this package) and the interpreted ablation of ncar.Sweep. It panics
+// on an invalid program, like prog.MustCompile.
+func (m *Machine) Interpret(p prog.Program, opts RunOpts) Result {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}

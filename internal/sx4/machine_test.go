@@ -81,7 +81,7 @@ func TestNewConfigPanicsOutOfRange(t *testing.T) {
 
 func TestCopyBandwidthApproachesPort(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
-	r := m.Run(copyProgram(1_000_000, 1), RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(copyProgram(1_000_000, 1)), RunOpts{Procs: 1})
 	// 8 words/clock of payload each way: the port moves 16 words/clock,
 	// so traffic rate should be near the 16 GB/s port at 9.2 ns (13.9 GB/s).
 	peak := m.Config().PortBytesPerSec() / 1e6
@@ -92,8 +92,8 @@ func TestCopyBandwidthApproachesPort(t *testing.T) {
 
 func TestCopyShortVectorsMuchSlower(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
-	long := m.Run(copyProgram(1_000_000, 1), RunOpts{Procs: 1})
-	short := m.Run(copyProgram(1, 1_000_000), RunOpts{Procs: 1})
+	long := m.Run(prog.MustCompile(copyProgram(1_000_000, 1)), RunOpts{Procs: 1})
+	short := m.Run(prog.MustCompile(copyProgram(1, 1_000_000)), RunOpts{Procs: 1})
 	if short.PortMBps() > long.PortMBps()/20 {
 		t.Errorf("short-vector COPY %.1f MB/s vs long %.1f MB/s: startup should dominate",
 			short.PortMBps(), long.PortMBps())
@@ -105,7 +105,7 @@ func TestBandwidthMonotoneInVectorLength(t *testing.T) {
 	total := int64(1 << 22)
 	prev := 0.0
 	for n := int64(1); n <= total; n *= 4 {
-		r := m.Run(copyProgram(n, total/n), RunOpts{Procs: 1})
+		r := m.Run(prog.MustCompile(copyProgram(n, total/n)), RunOpts{Procs: 1})
 		bw := r.PortMBps()
 		if bw+1e-9 < prev {
 			t.Errorf("COPY bandwidth not monotone at N=%d: %.2f < %.2f", n, bw, prev)
@@ -117,12 +117,12 @@ func TestBandwidthMonotoneInVectorLength(t *testing.T) {
 func TestGatherSlowerThanCopy(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	n := 1 << 20
-	cp := m.Run(copyProgram(int64(n), 1), RunOpts{Procs: 1})
-	ia := m.Run(prog.Simple("ia", 1,
+	cp := m.Run(prog.MustCompile(copyProgram(int64(n), 1)), RunOpts{Procs: 1})
+	ia := m.Run(prog.MustCompile(prog.Simple("ia", 1,
 		prog.Op{Class: prog.VLoad, VL: n, Stride: 1}, // index vector
 		prog.Op{Class: prog.VGather, VL: n},
 		prog.Op{Class: prog.VStore, VL: n, Stride: 1},
-	), RunOpts{Procs: 1})
+	)), RunOpts{Procs: 1})
 	if ia.Seconds <= cp.Seconds {
 		t.Errorf("gather kernel (%.3gs) should be slower than copy (%.3gs)", ia.Seconds, cp.Seconds)
 	}
@@ -134,14 +134,14 @@ func TestGatherSlowerThanCopy(t *testing.T) {
 func TestStridedStoreConflicts(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	n := 1 << 18
-	unit := m.Run(prog.Simple("s1", 8,
+	unit := m.Run(prog.MustCompile(prog.Simple("s1", 8,
 		prog.Op{Class: prog.VLoad, VL: n, Stride: 1},
 		prog.Op{Class: prog.VStore, VL: n, Stride: 1},
-	), RunOpts{Procs: 1})
-	strided := m.Run(prog.Simple("s512", 8,
+	)), RunOpts{Procs: 1})
+	strided := m.Run(prog.MustCompile(prog.Simple("s512", 8,
 		prog.Op{Class: prog.VLoad, VL: n, Stride: 1},
 		prog.Op{Class: prog.VStore, VL: n, Stride: 512},
-	), RunOpts{Procs: 1})
+	)), RunOpts{Procs: 1})
 	if strided.Seconds < 3*unit.Seconds {
 		t.Errorf("stride-512 store (%.3gs) should be >=3x slower than unit (%.3gs)",
 			strided.Seconds, unit.Seconds)
@@ -160,7 +160,7 @@ func axpyProgram(n int64) prog.Program {
 
 func TestAxpyFlopsRate(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
-	r := m.Run(axpyProgram(1<<20), RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(axpyProgram(1<<20)), RunOpts{Procs: 1})
 	if r.Flops != 2<<20 {
 		t.Errorf("axpy flops = %d, want %d", r.Flops, 2<<20)
 	}
@@ -180,7 +180,7 @@ func TestComputeBoundKernelNearPeak(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		ops = append(ops, prog.Op{Class: prog.VMul, VL: n}, prog.Op{Class: prog.VAdd, VL: n})
 	}
-	r := m.Run(prog.Simple("dense", 1, ops...), RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(prog.Simple("dense", 1, ops...)), RunOpts{Procs: 1})
 	peak := m.Config().PeakFlopsPerCPU() / 1e9
 	if gf := r.GFLOPS(); gf < 0.85*peak || gf > peak*1.001 {
 		t.Errorf("dense kernel = %.2f GFLOPS, want near peak %.2f", gf, peak)
@@ -199,7 +199,7 @@ func TestDividePipeExceedsPeakRating(t *testing.T) {
 		prog.Op{Class: prog.VMul, VL: n},
 		prog.Op{Class: prog.VDiv, VL: n / 4}, // divide sustains 1/4 rate
 	)
-	r := m.Run(p, RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 	nominal := m.Config().PeakFlopsPerCPU()
 	if rate := float64(r.Flops) / r.Seconds; rate <= nominal {
 		t.Errorf("add+mul+div rate %.3g flops/s should exceed the nominal peak %.3g", rate, nominal)
@@ -224,8 +224,8 @@ func TestParallelSpeedup(t *testing.T) {
 			}}},
 		}},
 	}
-	t1 := m.Run(p, RunOpts{Procs: 1}).Seconds
-	t32 := m.Run(p, RunOpts{Procs: 32}).Seconds
+	t1 := m.Run(prog.MustCompile(p), RunOpts{Procs: 1}).Seconds
+	t32 := m.Run(prog.MustCompile(p), RunOpts{Procs: 32}).Seconds
 	speedup := t1 / t32
 	if speedup < 20 || speedup > 32.01 {
 		t.Errorf("32-CPU speedup = %.1f, want within [20, 32]", speedup)
@@ -240,8 +240,8 @@ func TestSerialPhaseNotParallelized(t *testing.T) {
 			{Name: "serial", Parallel: false, Loops: []prog.Loop{{Trips: 1000, Body: []prog.Op{{Class: prog.VAdd, VL: 256}}}}},
 		},
 	}
-	t1 := m.Run(p, RunOpts{Procs: 1}).Seconds
-	t32 := m.Run(p, RunOpts{Procs: 32}).Seconds
+	t1 := m.Run(prog.MustCompile(p), RunOpts{Procs: 1}).Seconds
+	t32 := m.Run(prog.MustCompile(p), RunOpts{Procs: 32}).Seconds
 	if math.Abs(t1-t32)/t1 > 0.01 {
 		t.Errorf("serial phase time changed with CPUs: %.3g vs %.3g", t1, t32)
 	}
@@ -262,8 +262,8 @@ func TestEnsembleInterference(t *testing.T) {
 			}}},
 		}},
 	}
-	alone := m.Run(p, RunOpts{Procs: 4}).Seconds
-	crowded := m.Run(p, RunOpts{Procs: 4, ActiveCPUs: 32}).Seconds
+	alone := m.Run(prog.MustCompile(p), RunOpts{Procs: 4}).Seconds
+	crowded := m.Run(prog.MustCompile(p), RunOpts{Procs: 4, ActiveCPUs: 32}).Seconds
 	degr := (crowded - alone) / alone * 100
 	if degr <= 0.5 || degr > 4 {
 		t.Errorf("ensemble degradation = %.2f%%, want within (0.5, 4] (paper: 1.89%%)", degr)
@@ -274,11 +274,11 @@ func TestIntrinsicRatesOrdering(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	rate := func(in prog.Intrinsic) float64 {
 		n := 1 << 20
-		r := m.Run(prog.Simple("intr", 1,
+		r := m.Run(prog.MustCompile(prog.Simple("intr", 1,
 			prog.Op{Class: prog.VLoad, VL: n, Stride: 1},
 			prog.Op{Class: prog.VIntrinsic, VL: n, Intr: in},
 			prog.Op{Class: prog.VStore, VL: n, Stride: 1},
-		), RunOpts{Procs: 1})
+		)), RunOpts{Procs: 1})
 		return float64(n) / r.Seconds / 1e6 // Mcalls/s
 	}
 	sqrt, exp, pw := rate(prog.Sqrt), rate(prog.Exp), rate(prog.Pow)
@@ -293,11 +293,11 @@ func TestIntrinsicRatesOrdering(t *testing.T) {
 
 func TestRunClampsProcs(t *testing.T) {
 	m := New(Benchmarked())
-	r := m.Run(copyProgram(1024, 16), RunOpts{Procs: 64})
+	r := m.Run(prog.MustCompile(copyProgram(1024, 16)), RunOpts{Procs: 64})
 	if r.Procs != 32 {
 		t.Errorf("procs clamped to %d, want 32", r.Procs)
 	}
-	r = m.Run(copyProgram(1024, 16), RunOpts{})
+	r = m.Run(prog.MustCompile(copyProgram(1024, 16)), RunOpts{})
 	if r.Procs != 1 {
 		t.Errorf("default procs = %d, want 1", r.Procs)
 	}
@@ -306,7 +306,7 @@ func TestRunClampsProcs(t *testing.T) {
 func TestResultAccounting(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	p := copyProgram(1000, 10)
-	r := m.Run(p, RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 	if r.Words != p.Words() {
 		t.Errorf("result words = %d, want %d", r.Words, p.Words())
 	}
@@ -336,7 +336,7 @@ func TestZeroTripLoopFree(t *testing.T) {
 	m := New(Benchmarked())
 	p := prog.Program{Name: "empty", Phases: []prog.Phase{{Name: "x", Parallel: true,
 		Loops: []prog.Loop{{Trips: 0, Body: []prog.Op{{Class: prog.VAdd, VL: 8}}}}}}}
-	r := m.Run(p, RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 	if r.Clocks != 0 {
 		t.Errorf("zero-trip loop cost %v clocks, want 0", r.Clocks)
 	}
@@ -345,7 +345,7 @@ func TestZeroTripLoopFree(t *testing.T) {
 func TestScalarWorkCharged(t *testing.T) {
 	m := New(Benchmarked())
 	p := prog.Simple("scalar", 100, prog.Op{Class: prog.Scalar, Count: 200})
-	r := m.Run(p, RunOpts{Procs: 1})
+	r := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
 	// 200 instructions / 2 per clock = 100 clocks/trip + overhead.
 	if r.Clocks < 100*100 {
 		t.Errorf("scalar clocks = %v, want >= 10000", r.Clocks)

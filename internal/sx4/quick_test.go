@@ -20,7 +20,7 @@ func TestMoreTripsNeverFaster(t *testing.T) {
 		p2 := prog.Simple("b", tr+1,
 			prog.Op{Class: prog.VLoad, VL: n, Stride: 1},
 			prog.Op{Class: prog.VMul, VL: n})
-		return m.Run(p2, RunOpts{Procs: 1}).Seconds >= m.Run(p1, RunOpts{Procs: 1}).Seconds
+		return m.Run(prog.MustCompile(p2), RunOpts{Procs: 1}).Seconds >= m.Run(prog.MustCompile(p1), RunOpts{Procs: 1}).Seconds
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -36,9 +36,9 @@ func TestMoreProcsNeverSlowerOnParallelWork(t *testing.T) {
 			prog.Op{Class: prog.VMul, VL: 512},
 			prog.Op{Class: prog.VAdd, VL: 512},
 			prog.Op{Class: prog.VStore, VL: 512, Stride: 1})
-		prev := m.Run(p, RunOpts{Procs: 1}).Seconds
+		prev := m.Run(prog.MustCompile(p), RunOpts{Procs: 1}).Seconds
 		for _, procs := range []int{2, 4, 8, 16, 32} {
-			cur := m.Run(p, RunOpts{Procs: procs}).Seconds
+			cur := m.Run(prog.MustCompile(p), RunOpts{Procs: procs}).Seconds
 			if cur > prev*1.0001 {
 				return false
 			}
@@ -64,8 +64,8 @@ func TestLongerVectorsMoreEfficient(t *testing.T) {
 				prog.Op{Class: prog.VLoad, VL: vl, Stride: 1},
 				prog.Op{Class: prog.VMul, VL: vl})
 		}
-		tShort := m.Run(mkProg(short), RunOpts{Procs: 1}).Seconds
-		tLong := m.Run(mkProg(long), RunOpts{Procs: 1}).Seconds
+		tShort := m.Run(prog.MustCompile(mkProg(short)), RunOpts{Procs: 1}).Seconds
+		tLong := m.Run(prog.MustCompile(mkProg(long)), RunOpts{Procs: 1}).Seconds
 		return tLong <= tShort*1.0001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -81,8 +81,8 @@ func TestInterferenceNeverSpeedsUp(t *testing.T) {
 		prog.Op{Class: prog.VStore, VL: 4096, Stride: 1})
 	f := func(active uint8) bool {
 		a := int(active)%29 + 4
-		alone := m.Run(p, RunOpts{Procs: 4, ActiveCPUs: 4}).Seconds
-		loaded := m.Run(p, RunOpts{Procs: 4, ActiveCPUs: a}).Seconds
+		alone := m.Run(prog.MustCompile(p), RunOpts{Procs: 4, ActiveCPUs: 4}).Seconds
+		loaded := m.Run(prog.MustCompile(p), RunOpts{Procs: 4, ActiveCPUs: a}).Seconds
 		return loaded >= alone*0.9999
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -96,8 +96,8 @@ func TestFlopsIndependentOfProcs(t *testing.T) {
 	f := func(trips uint8, procs uint8) bool {
 		p := prog.Simple("w", int64(trips)+1,
 			prog.Op{Class: prog.VMul, VL: 100, FlopsPerElem: 3})
-		r1 := m.Run(p, RunOpts{Procs: 1})
-		r2 := m.Run(p, RunOpts{Procs: int(procs)%32 + 1})
+		r1 := m.Run(prog.MustCompile(p), RunOpts{Procs: 1})
+		r2 := m.Run(prog.MustCompile(p), RunOpts{Procs: int(procs)%32 + 1})
 		return r1.Flops == r2.Flops && r1.Words == r2.Words
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -114,8 +114,8 @@ func TestClockScalesLinearly(t *testing.T) {
 	p := prog.Simple("w", 100,
 		prog.Op{Class: prog.VLoad, VL: 777, Stride: 1},
 		prog.Op{Class: prog.VMul, VL: 777})
-	rf := mf.Run(p, RunOpts{Procs: 8})
-	rs := ms.Run(p, RunOpts{Procs: 8})
+	rf := mf.Run(prog.MustCompile(p), RunOpts{Procs: 8})
+	rs := ms.Run(prog.MustCompile(p), RunOpts{Procs: 8})
 	ratio := rs.Seconds / rf.Seconds
 	if ratio < 1.1499 || ratio > 1.1501 {
 		t.Errorf("clock ratio = %v, want exactly 1.15", ratio)

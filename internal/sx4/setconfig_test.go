@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"sx4bench/internal/target"
+	"sx4bench/internal/sx4/prog"
 )
 
 // TestSetConfigInvalidatesMemo is the cache-coherence regression test:
@@ -12,7 +12,7 @@ import (
 // timing from the old configuration leak into the new one.
 func TestSetConfigInvalidatesMemo(t *testing.T) {
 	m := New(Benchmarked())
-	p := cacheTestProgram(256)
+	p := prog.MustCompile(cacheTestProgram(256))
 	warm := m.Run(p, RunOpts{Procs: 1}) // miss: simulate + store
 	m.Run(p, RunOpts{Procs: 1})         // hit: cache is warm
 	if s := m.CacheStats(); s.Hits != 1 || s.Entries != 1 {
@@ -29,11 +29,9 @@ func TestSetConfigInvalidatesMemo(t *testing.T) {
 	}
 
 	got := m.Run(p, RunOpts{Procs: 1})
-	fresh := New(fast)
-	fresh.SetCache(false)
-	want := fresh.Run(p, RunOpts{Procs: 1})
+	want := New(fast).Interpret(cacheTestProgram(256), RunOpts{Procs: 1})
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("post-SetConfig run = %+v, want fresh simulation %+v", got, want)
+		t.Errorf("post-SetConfig run = %+v, want interpreted simulation %+v", got, want)
 	}
 	if got.Seconds >= warm.Seconds {
 		t.Errorf("4.0 ns run (%.3g s) not faster than 9.2 ns run (%.3g s): stale timing served",
@@ -48,7 +46,7 @@ func TestSetConfigInvalidatesMemo(t *testing.T) {
 // configuration must not throw the warm cache away.
 func TestSetConfigSameConfigKeepsMemo(t *testing.T) {
 	m := New(Benchmarked())
-	m.Run(cacheTestProgram(128), RunOpts{Procs: 1})
+	m.Run(prog.MustCompile(cacheTestProgram(128)), RunOpts{Procs: 1})
 	if err := m.SetConfig(Benchmarked()); err != nil {
 		t.Fatalf("SetConfig: %v", err)
 	}
@@ -61,7 +59,7 @@ func TestSetConfigSameConfigKeepsMemo(t *testing.T) {
 // must not corrupt the machine.
 func TestSetConfigInvalidLeavesMachineUsable(t *testing.T) {
 	m := New(Benchmarked())
-	before := m.Run(cacheTestProgram(64), RunOpts{Procs: 1})
+	before := m.Run(prog.MustCompile(cacheTestProgram(64)), RunOpts{Procs: 1})
 	bad := Benchmarked()
 	bad.ClockNS = -1
 	if err := m.SetConfig(bad); err == nil {
@@ -70,33 +68,8 @@ func TestSetConfigInvalidLeavesMachineUsable(t *testing.T) {
 	if m.Config().ClockNS != 9.2 {
 		t.Errorf("failed SetConfig mutated the config: %+v", m.Config())
 	}
-	after := m.Run(cacheTestProgram(64), RunOpts{Procs: 1})
+	after := m.Run(prog.MustCompile(cacheTestProgram(64)), RunOpts{Procs: 1})
 	if !reflect.DeepEqual(before, after) {
 		t.Error("failed SetConfig changed simulation results")
-	}
-}
-
-// TestSetCacheSweepsStaleFingerprints pins the SetCache half of the
-// coherence contract: re-enabling a live cache drops entries keyed on
-// any fingerprint other than the machine's current one.
-func TestSetCacheSweepsStaleFingerprints(t *testing.T) {
-	m := New(Benchmarked())
-	m.Run(cacheTestProgram(32), RunOpts{Procs: 1})
-
-	// Plant an entry under a foreign config fingerprint, as a buggy
-	// reconfiguration path would have left behind.
-	stale := target.MemoKey{Config: m.fingerprint ^ 1, Program: 42, Opts: RunOpts{Procs: 1}}
-	m.cache.Store(stale, Result{Program: "stale"})
-	if s := m.CacheStats(); s.Entries != 2 {
-		t.Fatalf("setup: %+v, want 2 entries", s)
-	}
-
-	m.SetCache(true)
-	s := m.CacheStats()
-	if s.Entries != 1 {
-		t.Fatalf("SetCache(true) kept %d entries, want 1 (stale fingerprint swept)", s.Entries)
-	}
-	if _, ok := m.cache.Lookup(stale); ok {
-		t.Error("stale-fingerprint entry survived SetCache(true)")
 	}
 }

@@ -24,7 +24,7 @@ func TestShortVectorBoundary(t *testing.T) {
 		}
 	}
 	run := func(vl int) Result {
-		return m.Run(prog.Simple(fmt.Sprintf("sv%d", vl), 1, body(vl)...), RunOpts{Procs: 1})
+		return m.Run(prog.MustCompile(prog.Simple(fmt.Sprintf("sv%d", vl), 1, body(vl)...)), RunOpts{Procs: 1})
 	}
 
 	sweep := []int{1, 255, 256, 257}
@@ -88,12 +88,12 @@ func TestShortVectorBoundary(t *testing.T) {
 func TestShortVectorStartupCharges(t *testing.T) {
 	m := New(BenchmarkedSingleCPU())
 	cfg := m.Config()
-	one := m.Run(prog.Simple("sv1", 1, prog.Op{Class: prog.VLoad, VL: 1, Stride: 1}), RunOpts{Procs: 1})
+	one := m.Run(prog.MustCompile(prog.Simple("sv1", 1, prog.Op{Class: prog.VLoad, VL: 1, Stride: 1})), RunOpts{Procs: 1})
 	if one.Clocks < float64(cfg.MemStartupClocks) {
 		t.Errorf("VL=1 load took %.1f clocks, less than the %d-clock memory startup",
 			one.Clocks, cfg.MemStartupClocks)
 	}
-	full := m.Run(prog.Simple("sv256", 1, prog.Op{Class: prog.VLoad, VL: 256, Stride: 1}), RunOpts{Procs: 1})
+	full := m.Run(prog.MustCompile(prog.Simple("sv256", 1, prog.Op{Class: prog.VLoad, VL: 256, Stride: 1})), RunOpts{Procs: 1})
 	stream := 256.0 / float64(cfg.VectorPipes)
 	if full.Clocks < stream {
 		t.Errorf("VL=256 load took %.1f clocks, below the %.1f-clock streaming floor", full.Clocks, stream)

@@ -76,14 +76,15 @@ func Conformance(t testing.TB, tgt Target) {
 	}
 
 	for _, p := range probePrograms() {
+		c := prog.MustCompile(p)
 		for _, opts := range probeOpts(spec.CPUs) {
-			r1 := tgt.Run(p, opts)
-			r2 := tgt.Run(p, opts)
+			r1 := tgt.Run(c, opts)
+			r2 := tgt.Run(c, opts)
 			if !reflect.DeepEqual(r1, r2) {
 				t.Errorf("%s: %s %+v: Run not deterministic:\n  %+v\n  %+v",
 					tgt.Name(), p.Name, opts, r1, r2)
 			}
-			rc := cl.Run(p.Clone(), opts)
+			rc := cl.Run(prog.MustCompile(p.Clone()), opts)
 			if !reflect.DeepEqual(r1, rc) {
 				t.Errorf("%s: %s %+v: Clone run differs:\n  orig  %+v\n  clone %+v",
 					tgt.Name(), p.Name, opts, r1, rc)

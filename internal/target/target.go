@@ -137,15 +137,19 @@ type Spec struct {
 // time.
 func (s Spec) Seconds(clocks float64) float64 { return clocks * s.ClockNS * 1e-9 }
 
-// Target is a modeled machine: it executes operation traces and
-// exposes its scalar profile and specification. Implementations must
-// be pure — Run is a function of (program, opts) and the target's
+// Target is a modeled machine: it executes compiled operation traces
+// and exposes its scalar profile and specification. Implementations
+// must be pure — Run is a function of (trace, opts) and the target's
 // configuration only — and safe for concurrent Run calls.
 type Target interface {
 	// Name returns the model designation, e.g. "SX-4/32" or "CRI Y-MP".
 	Name() string
-	// Run simulates the program.
-	Run(p prog.Program, opts RunOpts) Result
+	// Run simulates the compiled trace. A trace is compiled (validated,
+	// fingerprinted, flattened) once where it is built — prog.Compile,
+	// or a TraceCache for shapes the drivers revisit — so Run keys its
+	// timing memo on the fingerprint the compiler stamped and never
+	// re-walks the source program.
+	Run(c *prog.Compiled, opts RunOpts) Result
 	// Scalar returns the machine's scalar-path description (the HINT
 	// profile).
 	Scalar() ScalarProfile
@@ -166,25 +170,4 @@ type Target interface {
 // -cachestats output uses it.
 type CacheStatser interface {
 	CacheStats() CacheStats
-}
-
-// CompiledRunner is the optional interface of targets that execute
-// pre-flattened traces directly. A memo-cold Run spends most of its
-// time re-hashing the trace structure for the cache key; RunCompiled
-// reads the fingerprint the compiler stamped on the IR instead, so a
-// sweep that compiles each distinct trace once pays the per-op walk
-// once too. Results must be bit-identical to Run on the source
-// program — the two entry points share one timing memo.
-type CompiledRunner interface {
-	RunCompiled(c *prog.Compiled, opts RunOpts) Result
-}
-
-// CompiledSwitcher is the optional interface of targets whose
-// compiled-trace execution path can be toggled. Disabling routes runs
-// through the interpreted engine; reported numbers are bit-identical
-// either way (the differential tests pin this), so the switch is
-// purely an ablation knob — the cold-sweep baseline benchmark uses it
-// to measure what compilation buys.
-type CompiledSwitcher interface {
-	SetCompiled(enabled bool)
 }

@@ -14,16 +14,16 @@ type stub struct {
 }
 
 func (s *stub) Name() string { return s.name }
-func (s *stub) Run(p prog.Program, opts RunOpts) Result {
+func (s *stub) Run(c *prog.Compiled, opts RunOpts) Result {
 	procs := opts.Procs
 	if procs <= 0 {
 		procs = 1
 	}
-	clocks := float64(p.Flops()+p.Words()) / float64(procs)
+	clocks := float64(c.Flops+c.Words) / float64(procs)
 	return Result{
-		Program: p.Name, Procs: procs,
+		Program: c.Name, Procs: procs,
 		Clocks: clocks, Seconds: clocks * 1e-9,
-		Flops: p.Flops(), Words: p.Words(),
+		Flops: c.Flops, Words: c.Words,
 	}
 }
 func (s *stub) Scalar() ScalarProfile { return ScalarProfile{ClockNS: 1, IssuePerClock: 1} }

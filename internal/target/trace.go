@@ -6,32 +6,6 @@ import (
 	"sx4bench/internal/sx4/prog"
 )
 
-// CompiledTrace pairs a program with its pre-flattened form, so a
-// caller holding one can take a target's CompiledRunner fast path —
-// skipping trace reconstruction and per-op fingerprint hashing — and
-// still run on targets that only speak the interpreted entry point.
-// The two paths are bit-identical (pinned by the differential
-// quickcheck suite), so which one executes is invisible in the output.
-type CompiledTrace struct {
-	Program  prog.Program
-	Compiled *prog.Compiled
-}
-
-// CompileTrace flattens p once. It panics on an invalid program,
-// mirroring Run.
-func CompileTrace(p prog.Program) CompiledTrace {
-	return CompiledTrace{Program: p, Compiled: prog.MustCompile(p)}
-}
-
-// Run executes the trace on t through the compiled fast path when the
-// target offers one.
-func (ct CompiledTrace) Run(t Target, opts RunOpts) Result {
-	if cr, ok := t.(CompiledRunner); ok && ct.Compiled != nil {
-		return cr.RunCompiled(ct.Compiled, opts)
-	}
-	return t.Run(ct.Program, opts)
-}
-
 // TraceCache memoizes compiled traces by the parameters that generate
 // them. The experiment drivers rebuild the same trace shapes run after
 // run — every sweep point, KTRIES draw and cross-machine column used
@@ -43,15 +17,16 @@ func (ct CompiledTrace) Run(t Target, opts RunOpts) Result {
 // key, the first store wins and both observe it.
 type TraceCache[K comparable] struct{ m sync.Map }
 
-// Get returns the cached compiled trace for k, building and flattening
-// it on first use.
-func (c *TraceCache[K]) Get(k K, build func() prog.Program) CompiledTrace {
+// Get returns the cached compiled trace for k, building and compiling
+// it on first use. It panics on an invalid program, like
+// prog.MustCompile.
+func (c *TraceCache[K]) Get(k K, build func() prog.Program) *prog.Compiled {
 	if v, ok := c.m.Load(k); ok {
-		return v.(CompiledTrace)
+		return v.(*prog.Compiled)
 	}
-	ct := CompileTrace(build())
+	ct := prog.MustCompile(build())
 	if prev, loaded := c.m.LoadOrStore(k, ct); loaded {
-		return prev.(CompiledTrace)
+		return prev.(*prog.Compiled)
 	}
 	return ct
 }

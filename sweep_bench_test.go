@@ -2,7 +2,8 @@
 // across every registered machine, the workload the compiled-trace
 // path and the sharded timing memo exist for. Sub-benchmarks sweep the
 // worker count (1/4/8) and include the interpreted-engine ablation at
-// 8 workers (SetCompiled(false) via target.CompiledSwitcher), so
+// 8 workers (ncar.Sweep with compiled false: every scenario walked by
+// its engine's Interpret oracle, with no timing memo), so
 // `make bench-sweep` pins both the scaling curve and what compilation
 // buys in BENCH_SWEEP.json. Every variant cross-checks the sweep
 // checksum: parallelism and compilation must not change a single bit.
