@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short loadbench-check ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
+.PHONY: all build vet fmt-check lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short loadbench-check ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
 
 all: build vet lint test
 
@@ -11,6 +11,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree (the nested loadbench
+# module included) is not gofmt-clean, listing the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # sx4lint enforces the repo's determinism, layering and
 # golden-stability invariants (see DESIGN.md, "Static analysis").
@@ -48,7 +54,7 @@ race-full:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# What CI runs (see .github/workflows/ci.yml): vet (plus staticcheck
+# What CI runs (see .github/workflows/ci.yml): vet, the gofmt check (plus staticcheck
 # and govulncheck when installed — CI installs them, local runs skip
 # them gracefully), sx4lint, build, the full test suite under the race
 # detector, the golden-artifact check, the cross-machine smoke sweep,
@@ -61,6 +67,7 @@ bench:
 # and the vet + tests of the nested loadbench benchmark module.
 ci:
 	$(GO) vet ./...
+	$(MAKE) fmt-check
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI installs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
@@ -171,8 +178,11 @@ bench-baseline:
 
 # Record the cold-sweep scaling baseline — the memo-cold 10k-scenario
 # sweep across the machine registry at 1/4/8 workers, plus the
-# interpreted-engine ablation whose ratio to the 8-worker run is
-# pinned as coldsweep_compiled_speedup — as BENCH_SWEEP.json.
+# interpreted-engine ablation — as BENCH_SWEEP.json. The file's
+# coldsweep_compiled_speedup is the ablation's ns/op divided by the
+# 8-worker run's: a recorded measurement, compared against no floor
+# (nothing in make ci reads it). Record it on a host with at least 2
+# CPUs, so the benchmark names carry their -N suffix.
 # bench-sweep-short is the CI smoke: 1k scenarios, one iteration,
 # checksum cross-checked between every variant.
 bench-sweep:

@@ -5,13 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"sx4bench/internal/ccm2"
 	"sx4bench/internal/fault"
-	"sx4bench/internal/fftpack"
-	"sx4bench/internal/kernels"
-	"sx4bench/internal/mom"
-	"sx4bench/internal/pop"
-	"sx4bench/internal/prodload"
 	"sx4bench/internal/target"
 )
 
@@ -162,45 +156,12 @@ func firstAbort(inj fault.Injector, from, to float64) (float64, bool) {
 
 // AttemptSeconds models one attempt's simulated duration: the model
 // evaluation the benchmark performs, scaled by its repetition
-// convention. Correctness and I/O members run fixed nominal durations
-// (their cost does not depend on the compute model). This is the
-// number the resilient runner schedules with and the sx4d daemon
-// reports as each member's ns/op.
+// convention. This is the number the resilient runner schedules with
+// and the sx4d daemon reports as each member's ns/op; Measure reports
+// the same number from the same single evaluation.
 func AttemptSeconds(m target.Target, name string, cpus int) float64 {
-	opts1 := target.RunOpts{Procs: 1}
-	switch name {
-	case "PARANOIA", "ELEFUNT":
-		return 1
-	case "IO", "HIPPI", "NETWORK":
-		return 30
-	case "COPY":
-		k := last(kernels.CopySweep(1))
-		return 20 * m.Run(copyTrace(k), opts1).Seconds
-	case "IA":
-		k := last(kernels.IASweep(1))
-		return 20 * m.Run(iaTrace(k), opts1).Seconds
-	case "XPOSE":
-		k := last(kernels.XposeSweep(1))
-		return 20 * m.Run(xposeTrace(k), opts1).Seconds
-	case "RFFT":
-		const n = 1024
-		return 5 * m.Run(rfftTrace(n, fftpack.RFFTInstances(n)), opts1).Seconds
-	case "VFFT":
-		return 5 * m.Run(vfftTrace(256, 500), opts1).Seconds
-	case "RADABS":
-		// Nominal RADABS work at the machine's achieved rate.
-		return 10_000 / RADABSMFlops(m)
-	case "PRODLOAD":
-		return prodload.Run(m).TotalSeconds
-	case "CCM2":
-		t42, _ := ccm2.ResolutionByName("T42L18")
-		return ccm2.SimDays(m, t42, 1, cpus, cpus)
-	case "MOM":
-		return 15_000 / mom.SustainedMFLOPS(m)
-	case "POP":
-		return m.Run(popTrace(pop.TwoDegree), opts1).Seconds * 100
-	}
-	return 1
+	seconds, _, _ := evaluate(m, name, cpus)
+	return seconds
 }
 
 // secs renders a simulated time for error messages.

@@ -496,9 +496,10 @@ func (s *Server) answer(ctx context.Context, req RunRequest, class admitClass) (
 	return body, "miss", nil
 }
 
-// execute runs the canonical query's simulation and renders the
-// response bytes. workers rides alongside the canonical request (it
-// shapes the evaluation schedule, never the bytes). ctx is the
+// execute runs the canonical query's simulation and encodes the
+// RunResponse bytes directly from the measurements (responseEncoder).
+// workers rides alongside the canonical request (it shapes the
+// evaluation schedule, never the bytes). ctx is the
 // request's deadline, propagated into the measurement layer so a
 // client that hangs up stops paying for simulation at the next member
 // boundary; abandoned work is a 503, never a half-rendered body.
@@ -507,18 +508,15 @@ func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunReques
 	if cpus <= 0 {
 		cpus = tgt.Spec().CPUs
 	}
-	resp := RunResponse{
-		Machine:   tgt.Name(),
-		CPUs:      cpus,
-		FaultSeed: canon.FaultSeed,
-	}
+	var enc responseEncoder
 	if canon.FaultSeed == 0 {
 		ms, err := ncar.MeasureSuite(ctx, tgt, canon.Benchmarks, canon.CPUs, workers)
 		if err != nil {
 			return nil, s.executeError(err)
 		}
+		enc.start(tgt.Name(), cpus, 0)
 		for _, m := range ms {
-			resp.Results = append(resp.Results, measurementResult(m))
+			enc.result(m)
 		}
 	} else {
 		opts := ncar.ResilientOpts{
@@ -530,21 +528,14 @@ func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunReques
 		if err != nil {
 			return nil, s.executeError(err)
 		}
+		enc.start(tgt.Name(), cpus, canon.FaultSeed)
 		for _, rm := range rms {
-			r := measurementResult(rm.Measurement)
-			if r.Metrics == nil {
-				r.Metrics = make(map[string]float64)
-			}
-			r.Metrics["attempts"] = float64(rm.Attempts)
-			r.Metrics["finished_at_s"] = rm.FinishedAt
-			resp.Results = append(resp.Results, r)
+			enc.result(rm.Measurement,
+				metric{"attempts", float64(rm.Attempts)},
+				metric{"finished_at_s", rm.FinishedAt})
 		}
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
+	return enc.finish()
 }
 
 // executeError classifies a measurement failure: a context death that
@@ -556,24 +547,6 @@ func (s *Server) executeError(err error) error {
 		return unavailablef(1, "%s", err)
 	}
 	return failf(http.StatusUnprocessableEntity, "%s", err)
-}
-
-// measurementResult renders one structured measurement as a benchjson
-// record: the shape clients already parse from benchmark text, so a
-// response embeds cleanly in existing tooling.
-func measurementResult(m ncar.Measurement) benchjson.Result {
-	r := benchjson.Result{
-		Name:       m.Benchmark,
-		Iterations: int64(m.KTries),
-		NsPerOp:    m.Seconds * 1e9,
-	}
-	if len(m.Metrics) > 0 {
-		r.Metrics = make(map[string]float64, len(m.Metrics))
-		for k, v := range m.Metrics {
-			r.Metrics[k] = v
-		}
-	}
-	return r
 }
 
 // CanonicalRequest is the golden-pinned query: the full suite on the
